@@ -222,8 +222,23 @@ ErrorModel::simulateRead(const PageErrorProfile &prof, double extra,
         return ReadOutcome{prof.baseRetrySteps, prof.baseSuccess,
                            prof.baseLastStepErrors};
     }
+    // Skip the prefix that is known to fail. Up to k = N_RR the
+    // step errors are finalErrors * pow(r, min(N_RR - k, 40)) + extra,
+    // capped: with r = decayRatio >= 1 (pageProfile() makes it at
+    // least cal.decayRatio = 2.2), pow is monotone in its exponent,
+    // and scaling by finalErrors > 0, adding extra and taking min()
+    // all preserve order, so errors never increase before N_RR. If
+    // step N_RR - 1 fails, every earlier step fails too, and the walk
+    // may start at N_RR: the outcome and lastStepErrors come from the
+    // same stepErrors() calls the full walk would end with, so they
+    // are bit-identical.
+    int first = 0;
+    const int n_rr = prof.retrySteps;
+    if (n_rr >= 1 && n_rr <= cal_.retryTableSteps &&
+        prof.decayRatio >= 1.0 && stepErrors(prof, n_rr - 1, extra) > cap)
+        first = n_rr;
     ReadOutcome out;
-    for (int k = 0; k <= cal_.retryTableSteps; ++k) {
+    for (int k = first; k <= cal_.retryTableSteps; ++k) {
         out.retrySteps = k;
         out.lastStepErrors = stepErrors(prof, k, extra);
         if (out.lastStepErrors <= cap) {

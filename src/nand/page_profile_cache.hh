@@ -4,11 +4,14 @@
  *
  * pageProfile() is pure but expensive: a hash-stream seed, two
  * log-normal draws (four transcendental calls via Box-Muller), a
- * normal draw, and the step-error table fill. The SSD layer calls it
- * once per read transaction, and real workloads re-read hot pages
- * constantly, so an open-addressing cache keyed by the packed
- * (chip, block, page) coordinates removes the recomputation from the
- * read hot path.
+ * normal draw, and the memoized default retry walk. That walk costs
+ * two pow() calls in the usual case (step N_RR - 1 fails, as the
+ * Fig. 4b guard makes it at the design-point capability, and step
+ * N_RR succeeds), since the walk starts at N_RR; otherwise it walks
+ * from step 0. The SSD layer calls it once per read transaction, and
+ * real workloads re-read hot pages constantly, so an open-addressing
+ * cache keyed by the packed (chip, block, page) coordinates removes
+ * the recomputation from the read hot path.
  *
  * Correctness does not depend on invalidation: every entry stores
  * the OperatingPoint it was computed at, and a lookup whose op

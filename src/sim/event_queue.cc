@@ -116,16 +116,56 @@ EventQueue::heapPop()
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::scheduleAt(Tick when, std::uint64_t seq, Callback cb)
 {
     SSDRR_ASSERT(when >= now_, "scheduling into the past: when=", when,
                  " now=", now_);
     SSDRR_ASSERT(cb, "scheduling a null callback");
     const std::uint32_t slot = allocSlot(std::move(cb));
     const EventId id = makeId(slots_[slot].gen, slot);
-    heapPush(HeapEntry{when, next_seq_++, slot});
+    heapPush(HeapEntry{when, seq, slot});
     ++pending_;
     return id;
+}
+
+EventId
+EventQueue::schedule(Tick when, Callback cb)
+{
+    return scheduleAt(when, next_seq_++, std::move(cb));
+}
+
+std::uint64_t
+EventQueue::reserveSequence(std::uint64_t n)
+{
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+}
+
+EventId
+EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Callback cb)
+{
+    SSDRR_ASSERT(seq > 0 && seq < next_seq_,
+                 "sequence number ", seq, " was never reserved");
+    // Every extracted entry ran (or is about to run) before anything
+    // still in the heap, so a key below the latest extracted one
+    // would execute out of (tick, seq) order.
+    SSDRR_ASSERT(when > extracted_when_ ||
+                     (when == extracted_when_ && seq > extracted_seq_),
+                 "reserved key (", when, ", ", seq,
+                 ") precedes extracted entry (", extracted_when_, ", ",
+                 extracted_seq_, ")");
+    return scheduleAt(when, seq, std::move(cb));
+}
+
+EventId
+EventQueue::scheduleBatchReserved(Tick when, std::uint64_t seq,
+                                  std::vector<Callback> cbs)
+{
+    SSDRR_ASSERT(!cbs.empty(), "scheduling an empty batch");
+    if (cbs.size() == 1)
+        return scheduleReserved(when, seq, std::move(cbs.front()));
+    return scheduleReserved(when, seq, batchCallback(std::move(cbs)));
 }
 
 EventId
@@ -140,14 +180,20 @@ EventQueue::scheduleBatch(Tick when, std::vector<Callback> cbs)
     SSDRR_ASSERT(!cbs.empty(), "scheduling an empty batch");
     if (cbs.size() == 1)
         return schedule(when, std::move(cbs.front()));
+    return schedule(when, batchCallback(std::move(cbs)));
+}
+
+EventQueue::Callback
+EventQueue::batchCallback(std::vector<Callback> cbs)
+{
     // One event carries the whole batch; run() counts it once, so the
     // batch callback accounts for the other size()-1 executions to
     // keep executedEvents() identical to individual scheduling.
-    return schedule(when, [this, cbs = std::move(cbs)]() mutable {
+    return [this, cbs = std::move(cbs)]() mutable {
         executed_ += cbs.size() - 1;
         for (Callback &cb : cbs)
             cb();
-    });
+    };
 }
 
 bool
@@ -265,6 +311,8 @@ EventQueue::run(Tick until)
         const HeapEntry e = heapPop();
         if (heap_.empty() || heap_.front().when != t) {
             // Lone event at t; the pruned root was Pending.
+            extracted_when_ = t;
+            extracted_seq_ = e.seq;
             executeEntry(e);
             continue;
         }
@@ -278,6 +326,8 @@ EventQueue::run(Tick until)
         do {
             batch.push_back(heapPop());
         } while (!heap_.empty() && heap_.front().when == t);
+        extracted_when_ = t;
+        extracted_seq_ = batch.back().seq;
         for (const HeapEntry &b : batch)
             executeEntry(b);
         batch.clear();
@@ -297,6 +347,8 @@ EventQueue::step()
     }
     const HeapEntry e = heapPop();
     now_ = e.when;
+    extracted_when_ = e.when;
+    extracted_seq_ = e.seq;
     executeEntry(e);
     pruneCancelledTop();
     return true;

@@ -45,7 +45,8 @@
  *    onto another domain's queue.
  *
  * Determinism contract: events execute in (tick, seq) order, where
- * seq is the queue-local scheduling order. Any run that performs the
+ * seq is the queue-local scheduling order (or a number reserved at
+ * that point of it, see reserveSequence()). Any run that performs the
  * same schedule() calls in the same order executes callbacks in the
  * same order — this, plus the executor's sorted mailbox delivery, is
  * what makes multi-threaded runs bit-identical to single-threaded
@@ -112,6 +113,38 @@ class EventQueue
      * deliveries). @p cbs must be non-empty with no null callbacks.
      */
     EventId scheduleBatch(Tick when, std::vector<Callback> cbs);
+
+    /**
+     * Reserve @p n consecutive sequence numbers for later
+     * scheduleReserved()/scheduleBatchReserved() calls, and return
+     * the first. The block is taken from the same counter schedule()
+     * draws from, so every later schedule() call gets a larger
+     * sequence number than the whole block — exactly as if @p n
+     * events had been scheduled here.
+     *
+     * This lets a producer stream a long arrival list into the queue
+     * lazily (keeping the heap at O(in-flight) entries) while every
+     * event still runs under the (tick, seq) key an eager up-front
+     * schedule would have given it.
+     */
+    std::uint64_t reserveSequence(std::uint64_t n);
+
+    /**
+     * Schedule @p cb at (@p when, @p seq), where @p seq is a number
+     * previously returned by (or inside a block from)
+     * reserveSequence() and not yet used. Each reserved number must
+     * be used at most once.
+     *
+     * The key must not precede the key of an entry already extracted
+     * from the heap for execution: such an event would run after an
+     * event it should have preceded, so this is asserted, not
+     * assumed. Scheduling at a tick later than now() is always safe.
+     */
+    EventId scheduleReserved(Tick when, std::uint64_t seq, Callback cb);
+
+    /** scheduleBatch() at a reserved key (see scheduleReserved()). */
+    EventId scheduleBatchReserved(Tick when, std::uint64_t seq,
+                                  std::vector<Callback> cbs);
 
     /**
      * Cancel a pending event.
@@ -206,6 +239,12 @@ class EventQueue
         return a.seq < b.seq;
     }
 
+    /** Push @p cb at key (@p when, @p seq). */
+    EventId scheduleAt(Tick when, std::uint64_t seq, Callback cb);
+    /** One callback that runs @p cbs in order and credits the extra
+     *  size()-1 executions (scheduleBatch's accounting). */
+    Callback batchCallback(std::vector<Callback> cbs);
+
     std::uint32_t allocSlot(Callback cb);
     void freeSlot(std::uint32_t idx);
     void heapPush(HeapEntry e);
@@ -221,6 +260,10 @@ class EventQueue
     std::uint64_t next_seq_ = 1;
     std::uint64_t executed_ = 0;
     std::size_t pending_ = 0;
+    /** Key of the latest entry extracted for execution: a reserved
+     *  key may not precede it (scheduleReserved()). */
+    Tick extracted_when_ = 0;
+    std::uint64_t extracted_seq_ = 0;
     std::vector<HeapEntry> heap_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;

@@ -1,5 +1,7 @@
 #include "ssd/ssd.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace ssdrr::ssd {
@@ -20,6 +22,117 @@ calibrationFor(const Config &cfg)
     cal.eccCapability = cfg.eccCapability;
     return cal;
 }
+
+/**
+ * Feeds a trace's arrivals into the event queue lazily, under the
+ * keys an eager up-front schedule would give them.
+ *
+ * A burst is a maximal run of consecutive records sharing an arrival
+ * tick; it runs as one (batch) event. Eager scheduling would draw one
+ * sequence number per burst in record order, so the stream reserves
+ * that block up front and hands burst k the k-th number. The bursts
+ * are stable-sorted by tick, so the sorted order is the (tick, seq)
+ * order, and only the next tick's group of bursts sits in the heap:
+ * the first callback of each group injects the following group,
+ * whose tick is strictly later and so can never land behind an entry
+ * the queue has already extracted. Every arrival therefore executes
+ * under the identical (tick, seq) key, while the heap stays at
+ * O(in-flight) entries and the trace is never held as closures.
+ */
+class ArrivalStream
+{
+  public:
+    ArrivalStream(Ssd &ssd, sim::EventQueue &eq,
+                  const std::vector<workload::TraceRecord> &records,
+                  sim::Tick base)
+        : ssd_(ssd), eq_(eq), records_(records)
+    {
+        for (std::size_t i = 0; i < records_.size(); i = burstEnd(i))
+            bursts_.push_back(
+                Burst{base + records_[i].arrival, bursts_.size(), i});
+        const std::uint64_t seq0 = eq_.reserveSequence(bursts_.size());
+        for (Burst &b : bursts_)
+            b.seq += seq0;
+        const auto byTick = [](const Burst &a, const Burst &b) {
+            return a.when < b.when;
+        };
+        if (!std::is_sorted(bursts_.begin(), bursts_.end(), byTick))
+            std::stable_sort(bursts_.begin(), bursts_.end(), byTick);
+    }
+
+    // Scheduled callbacks hold `this`.
+    ArrivalStream(const ArrivalStream &) = delete;
+    ArrivalStream &operator=(const ArrivalStream &) = delete;
+
+    /** Schedule every burst of the next distinct tick. */
+    void
+    injectNextTick()
+    {
+        if (next_ == bursts_.size())
+            return;
+        const sim::Tick when = bursts_[next_].when;
+        bool lead = true;
+        for (; next_ < bursts_.size() && bursts_[next_].when == when;
+             ++next_) {
+            const Burst &b = bursts_[next_];
+            const std::size_t end = burstEnd(b.first);
+            if (end - b.first == 1) {
+                eq_.scheduleReserved(when, b.seq,
+                                     arrival(b.first, when, lead));
+            } else {
+                std::vector<sim::InlineCallback> cbs;
+                cbs.reserve(end - b.first);
+                for (std::size_t i = b.first; i < end; ++i)
+                    cbs.push_back(arrival(i, when, lead && i == b.first));
+                eq_.scheduleBatchReserved(when, b.seq, std::move(cbs));
+            }
+            lead = false;
+        }
+    }
+
+  private:
+    struct Burst {
+        sim::Tick when;
+        std::uint64_t seq;
+        std::size_t first; ///< index of the burst's first record
+    };
+
+    /** One past the last record of the burst starting at @p i. */
+    std::size_t
+    burstEnd(std::size_t i) const
+    {
+        std::size_t j = i + 1;
+        while (j < records_.size() &&
+               records_[j].arrival == records_[i].arrival)
+            ++j;
+        return j;
+    }
+
+    /** Submit record @p i; a group's @p lead also injects the next
+     *  group. */
+    sim::InlineCallback
+    arrival(std::size_t i, sim::Tick when, bool lead)
+    {
+        return [this, i, when, lead] {
+            if (lead)
+                injectNextTick();
+            const workload::TraceRecord &rec = records_[i];
+            HostRequest req;
+            req.id = i + 1;
+            req.arrival = when;
+            req.lpn = rec.lpn;
+            req.pages = rec.pages;
+            req.isRead = rec.isRead;
+            ssd_.submit(req);
+        };
+    }
+
+    Ssd &ssd_;
+    sim::EventQueue &eq_;
+    const std::vector<workload::TraceRecord> &records_;
+    std::vector<Burst> bursts_;
+    std::size_t next_ = 0;
+};
 
 } // namespace
 
@@ -284,41 +397,23 @@ Ssd::precondition()
 RunStats
 Ssd::replay(const workload::Trace &trace)
 {
+    return replay(trace.records());
+}
+
+RunStats
+Ssd::replay(const std::vector<workload::TraceRecord> &records)
+{
     precondition();
+    // Validate the whole trace before simulating any of it.
+    for (const workload::TraceRecord &rec : records)
+        SSDRR_ASSERT(rec.lpn + rec.pages <= ftl_.logicalPages(),
+                     "trace touches LPNs beyond the SSD capacity");
 
     // Rebase arrivals to the current simulated time so a second
     // replay on a warmed-up SSD continues instead of scheduling into
     // the past.
-    const sim::Tick base = eq_.now();
-    std::uint64_t next_id = 1;
-    const auto &records = trace.records();
-    // Runs of records sharing an arrival tick (bursty traces, fused
-    // multi-stream captures) become one batched heap event; grouping
-    // only *consecutive* records preserves the per-tick submit order
-    // of an out-of-order trace, since a later run at the same tick
-    // still carries a later sequence number.
-    std::vector<sim::InlineCallback> burst;
-    for (std::size_t i = 0; i < records.size();) {
-        const sim::Tick when = base + records[i].arrival;
-        std::size_t j = i;
-        do {
-            const auto &rec = records[j];
-            HostRequest req;
-            req.id = next_id++;
-            req.arrival = when;
-            req.lpn = rec.lpn;
-            req.pages = rec.pages;
-            req.isRead = rec.isRead;
-            SSDRR_ASSERT(req.lpn + req.pages <= ftl_.logicalPages(),
-                         "trace touches LPNs beyond the SSD capacity");
-            burst.emplace_back([this, req] { submit(req); });
-            ++j;
-        } while (j < records.size() &&
-                 base + records[j].arrival == when);
-        eq_.scheduleBatch(when, std::move(burst));
-        burst.clear();
-        i = j;
-    }
+    ArrivalStream stream(*this, eq_, records, eq_.now());
+    stream.injectNextTick();
     drain();
     return stats();
 }

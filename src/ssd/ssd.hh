@@ -268,11 +268,22 @@ class Ssd
     void submit(const HostRequest &req);
 
     /**
-     * Replay a whole trace: schedules every record at its arrival
+     * Replay a whole trace: submits every record at its arrival
      * time, runs the event loop to completion, and returns the run
      * summary.
      */
     RunStats replay(const workload::Trace &trace);
+
+    /**
+     * Replay raw trace records. Arrivals need not be sorted: records
+     * sharing a tick are submitted in record order, and request ids
+     * follow record order (1, 2, ...). Arrivals are streamed into the
+     * event queue one distinct tick ahead of the clock, so the heap
+     * holds O(in-flight) entries rather than one per record, while
+     * every arrival keeps the (tick, seq) key an up-front schedule
+     * would give it.
+     */
+    RunStats replay(const std::vector<workload::TraceRecord> &records);
 
     /** Drain all outstanding work (after manual submit()s). */
     void drain();

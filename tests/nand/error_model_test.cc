@@ -182,6 +182,51 @@ TEST(ErrorModel, CustomCapabilityThreshold)
     EXPECT_EQ(out.retrySteps, 0);
 }
 
+TEST(ErrorModel, SkippedFailingPrefixMatchesFullWalk)
+{
+    // simulateRead() starts at step N_RR when step N_RR - 1 fails;
+    // its outcome must equal the full walk from step 0 bit for bit,
+    // for every extra-error level and capability, including the
+    // cases where an earlier step succeeds.
+    const ErrorModel m;
+    int skipped = 0, early = 0;
+    for (const OperatingPoint op : {OperatingPoint{0.0, 0.0, 85.0},
+                                    OperatingPoint{1.0, 6.0, 30.0},
+                                    OperatingPoint{2.0, 12.0, 55.0}}) {
+        for (int p = 0; p < 64; ++p) {
+            const PageErrorProfile prof = m.pageProfile(3, 7, p, op);
+            for (double extra : {0.0, 0.25, 2.0, 9.0, 30.0, 200.0}) {
+                for (double cap : {-1.0, 20.0, 40.0, 72.0, 120.0, 1e9}) {
+                    const double c =
+                        cap < 0.0 ? m.cal().eccCapability : cap;
+                    ReadOutcome ref;
+                    ref.success = false;
+                    for (int k = 0; k <= m.cal().retryTableSteps; ++k) {
+                        ref.retrySteps = k;
+                        ref.lastStepErrors = m.stepErrors(prof, k, extra);
+                        if (ref.lastStepErrors <= c) {
+                            ref.success = true;
+                            break;
+                        }
+                    }
+                    const ReadOutcome out = m.simulateRead(prof, extra, cap);
+                    ASSERT_EQ(out.retrySteps, ref.retrySteps);
+                    ASSERT_EQ(out.success, ref.success);
+                    ASSERT_EQ(out.lastStepErrors, ref.lastStepErrors);
+                    if (prof.retrySteps >= 1 &&
+                        m.stepErrors(prof, prof.retrySteps - 1, extra) > c)
+                        ++skipped;
+                    else if (ref.success &&
+                             ref.retrySteps < prof.retrySteps)
+                        ++early;
+                }
+            }
+        }
+    }
+    EXPECT_GT(skipped, 100) << "the skip must be exercised";
+    EXPECT_GT(early, 100) << "walks ending before N_RR must be exercised";
+}
+
 TEST(ErrorModel, InvalidOperatingPointPanics)
 {
     const ErrorModel m;

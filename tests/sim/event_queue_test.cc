@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace ssdrr::sim {
 namespace {
@@ -475,6 +477,230 @@ TEST(EventQueue, StressBatchedMatchesUnbatched)
         << "scheduleBatch must credit executedEvents per callback";
     EXPECT_EQ(batched.end, unbatched.end);
     EXPECT_GT(batched.executed, 0u);
+}
+
+/**
+ * One seeded random schedule, runnable eagerly (every root scheduled
+ * up front, in root order) or through reserved-sequence lazy
+ * injection (one sequence number reserved per root, roots
+ * stable-sorted by tick, only the next tick's roots in the heap and
+ * the first of them injecting the following tick). Roots land on
+ * duplicate, out-of-order ticks and some are scheduleBatch bursts.
+ * Every callback is a node whose behaviour — logging itself,
+ * scheduling same-tick and later children (single or batched),
+ * cancelling an earlier ordinary child — is a pure function of
+ * (seed, node id), so the two modes must agree exactly.
+ */
+class ReservedScheduleRun
+{
+  public:
+    struct Observation {
+        std::vector<std::uint64_t> order;
+        std::vector<bool> cancels;
+        std::uint64_t executed = 0;
+        Tick end = 0;
+    };
+
+    ReservedScheduleRun(std::uint64_t seed, bool lazy)
+        : seed_(seed), lazy_(lazy)
+    {
+        Rng rng(hashStream(seed, 0xA11));
+        const int roots = 20 + static_cast<int>(rng.uniformInt(60));
+        for (int r = 0; r < roots; ++r) {
+            Root root;
+            root.when = rng.uniformInt(40);
+            root.callbacks = rng.uniform() < 0.3
+                                 ? 2 + static_cast<int>(rng.uniformInt(3))
+                                 : 1;
+            root.firstId = next_id_;
+            next_id_ += root.callbacks;
+            roots_.push_back(root);
+        }
+    }
+
+    // Scheduled callbacks hold `this`.
+    ReservedScheduleRun(const ReservedScheduleRun &) = delete;
+    ReservedScheduleRun &operator=(const ReservedScheduleRun &) = delete;
+
+    Observation
+    run()
+    {
+        if (lazy_) {
+            const std::uint64_t seq0 = eq_.reserveSequence(roots_.size());
+            for (std::size_t r = 0; r < roots_.size(); ++r)
+                roots_[r].seq = seq0 + r;
+            std::stable_sort(roots_.begin(), roots_.end(),
+                             [](const Root &a, const Root &b) {
+                                 return a.when < b.when;
+                             });
+            injectNextTick();
+        } else {
+            for (const Root &root : roots_)
+                scheduleRoot(root, false);
+        }
+        eq_.run();
+        obs_.executed = eq_.executedEvents();
+        obs_.end = eq_.now();
+        return obs_;
+    }
+
+  private:
+    struct Root {
+        Tick when = 0;
+        int callbacks = 1;
+        std::uint64_t firstId = 0;
+        std::uint64_t seq = 0;
+    };
+
+    void
+    injectNextTick()
+    {
+        if (next_root_ == roots_.size())
+            return;
+        const Tick when = roots_[next_root_].when;
+        bool lead = true;
+        for (; next_root_ < roots_.size() &&
+               roots_[next_root_].when == when;
+             ++next_root_) {
+            scheduleRoot(roots_[next_root_], lead);
+            lead = false;
+        }
+    }
+
+    void
+    scheduleRoot(const Root &root, bool lead)
+    {
+        std::vector<EventQueue::Callback> cbs;
+        for (int i = 0; i < root.callbacks; ++i) {
+            const std::uint64_t id = root.firstId + i;
+            const bool inject = lead && i == 0;
+            cbs.emplace_back([this, id, inject] {
+                if (inject)
+                    injectNextTick();
+                node(id, 0);
+            });
+        }
+        if (lazy_)
+            eq_.scheduleBatchReserved(root.when, root.seq, std::move(cbs));
+        else
+            eq_.scheduleBatch(root.when, std::move(cbs));
+    }
+
+    void
+    node(std::uint64_t id, int depth)
+    {
+        obs_.order.push_back(id);
+        Rng rng(hashStream(seed_, id, 0xC41D));
+        if (depth < 3) {
+            const int children = static_cast<int>(rng.uniformInt(3));
+            for (int c = 0; c < children; ++c) {
+                // Half the children land on the current tick.
+                const Tick when = eq_.now() + (rng.uniform() < 0.5
+                                                   ? 0
+                                                   : 1 + rng.uniformInt(20));
+                if (rng.uniform() < 0.3) {
+                    std::vector<EventQueue::Callback> cbs;
+                    const int n = 2 + static_cast<int>(rng.uniformInt(3));
+                    for (int i = 0; i < n; ++i) {
+                        const std::uint64_t child = next_id_++;
+                        cbs.emplace_back([this, child, depth] {
+                            node(child, depth + 1);
+                        });
+                    }
+                    eq_.scheduleBatch(when, std::move(cbs));
+                } else {
+                    const std::uint64_t child = next_id_++;
+                    ordinary_.push_back(eq_.schedule(
+                        when, [this, child, depth] {
+                            node(child, depth + 1);
+                        }));
+                }
+            }
+        }
+        // Cancel an ordinary child by logical position; whether it is
+        // still pending depends only on the execution order so far.
+        if (!ordinary_.empty() && rng.uniform() < 0.25)
+            obs_.cancels.push_back(eq_.cancel(
+                ordinary_[rng.uniformInt(ordinary_.size())]));
+    }
+
+    const std::uint64_t seed_;
+    const bool lazy_;
+    EventQueue eq_;
+    std::vector<Root> roots_;
+    std::size_t next_root_ = 0;
+    std::uint64_t next_id_ = 0;
+    std::vector<EventId> ordinary_;
+    Observation obs_;
+};
+
+TEST(EventQueue, ReservedLazyInjectionMatchesEagerSchedule)
+{
+    std::size_t cancelled = 0;
+    std::size_t executed = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const auto eager = ReservedScheduleRun(seed, false).run();
+        const auto lazy = ReservedScheduleRun(seed, true).run();
+        ASSERT_EQ(eager.order, lazy.order) << "seed " << seed;
+        ASSERT_EQ(eager.cancels, lazy.cancels) << "seed " << seed;
+        ASSERT_EQ(eager.executed, lazy.executed) << "seed " << seed;
+        ASSERT_EQ(eager.end, lazy.end) << "seed " << seed;
+        ASSERT_EQ(eager.executed, eager.order.size()) << "seed " << seed;
+        cancelled += std::count(eager.cancels.begin(),
+                                eager.cancels.end(), true);
+        executed += eager.executed;
+    }
+    // The schedules exercise what they claim to.
+    EXPECT_GT(cancelled, 100u);
+    EXPECT_GT(executed, 20000u);
+}
+
+TEST(EventQueue, ReservedSequenceKeepsEagerTieOrder)
+{
+    // A block reserved between two schedule() calls orders exactly
+    // where the skipped events would have.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&] { order.push_back(0); });
+    const std::uint64_t seq = eq.reserveSequence(2);
+    eq.schedule(5, [&] { order.push_back(3); });
+    eq.scheduleReserved(5, seq + 1, [&] { order.push_back(2); });
+    eq.scheduleReserved(5, seq, [&] { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.executedEvents(), 4u);
+}
+
+TEST(EventQueuePanic, ReservedKeyBehindExtractedEntryPanics)
+{
+    // (5, seq) sits between two entries of one drained tick; once the
+    // drain has extracted the later one, injecting it would run it
+    // out of order.
+    EventQueue eq;
+    std::uint64_t seq = 0;
+    eq.schedule(5, [&] {
+        eq.scheduleReserved(5, seq, [] {});
+    });
+    seq = eq.reserveSequence(1);
+    eq.schedule(5, [] {});
+    EXPECT_THROW(eq.run(), std::logic_error);
+
+    // Behind an entry extracted by an earlier run() call.
+    EventQueue later;
+    const std::uint64_t r = later.reserveSequence(1);
+    later.schedule(7, [] {});
+    later.run();
+    EXPECT_THROW(later.scheduleReserved(7, r, [] {}), std::logic_error);
+    EXPECT_NO_THROW(later.scheduleReserved(8, r, [] {}));
+}
+
+TEST(EventQueuePanic, UnreservedSequencePanics)
+{
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSequence(1);
+    EXPECT_THROW(eq.scheduleReserved(1, seq + 1, [] {}),
+                 std::logic_error);
+    EXPECT_THROW(eq.scheduleReserved(1, 0, [] {}), std::logic_error);
 }
 
 TEST(EventQueuePanic, SchedulingIntoThePastPanics)

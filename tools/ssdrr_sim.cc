@@ -483,6 +483,11 @@ benchRunFrom(const std::string &name, const ssd::RunStats &st,
     run.p999ReadUs = st.p999ReadResponseUs;
     run.profileCacheHits = st.profileCacheHits;
     run.profileCacheMisses = st.profileCacheMisses;
+    run.degradedReads = st.degradedReads;
+    run.reconstructionReads = st.reconstructionReads;
+    run.parityWrites = st.parityWrites;
+    run.p99DegradedReadUs = st.p99DegradedReadUs;
+    run.p999DegradedReadUs = st.p999DegradedReadUs;
     run.cacheHits = st.cacheHits;
     run.cacheMisses = st.cacheMisses;
     run.cacheEvictions = st.cacheEvictions;
@@ -497,6 +502,10 @@ benchRunFrom(const std::string &name, const ssd::RunStats &st,
     run.rebuildReads = st.rebuildReads;
     run.timeToRebuildMs = st.timeToRebuildMs;
     run.avgFabricWaitUs = st.avgFabricWaitUs;
+    run.windowsRun = st.executorWindowsRun;
+    run.windowsSkipped = st.executorWindowsSkipped;
+    run.parks = st.executorParks;
+    run.spins = st.executorSpins;
     for (const ssd::RunStats::FabricLinkStats &l : st.fabricLinks) {
         run.fabricBusyUs += l.busyUs;
         run.fabricBytes += l.bytesCarried;
