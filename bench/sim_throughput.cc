@@ -9,14 +9,10 @@
  * deterministic simulation results are digested so a perf change that
  * silently alters what is simulated fails CI.
  *
- * A second section measures the sharded per-drive engine: a 4-drive
- * saturation scenario (8 closed-loop tenants, 32 device slots per
- * drive, 50 us host link, profile cache disabled so every read pays
- * the full model math) run with 1 and with 4 worker threads. The
- * two runs' deterministic results MUST be bit-identical — the bench
- * exits non-zero if they diverge — and the wall-clock ratio is the
- * parallel speedup (recorded as the par4d-1t / par4d-4t entries of
- * the JSON; it needs >= 4 free cores to show the full effect).
+ * A second section (par4d) measures the sharded per-drive engine: a
+ * 4-drive saturation scenario (8 closed-loop tenants, 32 device slots
+ * per drive, 50 us host link, profile cache disabled so every read
+ * pays the full model math).
  *
  * Four more sections ride along: raid5-* (degraded-read
  * reconstruction, healthy vs one failed drive), cached-* (the
@@ -31,8 +27,7 @@
  * queueing the topology induces).
  *
  * The golden digest covers only the two single-queue tail runs, so
- * it stays comparable across machines, thread counts and the
- * appended sections.
+ * it stays comparable across machines and the appended sections.
  *
  * Usage:
  *   bench_sim_throughput [--short] [--json PATH]
@@ -54,7 +49,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fabric/topology.hh"
@@ -139,8 +133,6 @@ measureScenario(const std::string &name, const MakeConfig &make_config,
     run.avgFabricWaitUs = a.avgFabricWaitUs;
     run.windowsRun = a.executorWindowsRun;
     run.windowsSkipped = a.executorWindowsSkipped;
-    run.parks = a.executorParks;
-    run.spins = a.executorSpins;
     for (const ssd::RunStats::FabricLinkStats &l : a.fabricLinks) {
         run.fabricBusyUs += l.busyUs;
         run.fabricBytes += l.bytesCarried;
@@ -168,12 +160,10 @@ measure(core::Mechanism mech, std::uint64_t requests_per_tenant,
 /**
  * 4-drive saturation scenario for the sharded engine: enough tenant
  * concurrency and device slots (32 per drive) to keep every drive's
- * synchronization window dense with NAND/ECC work, so the per-window
- * barrier cost is amortized and drives scale across workers.
+ * synchronization window dense with NAND/ECC work.
  */
 host::ScenarioConfig
-parallelScenario(std::uint64_t requests_per_tenant,
-                 std::uint32_t threads)
+parallelScenario(std::uint64_t requests_per_tenant)
 {
     host::ScenarioBuilder b;
     // 50 us link ~ a coalesced-interrupt completion path; it is also
@@ -196,21 +186,17 @@ parallelScenario(std::uint64_t requests_per_tenant,
     host::ScenarioConfig cfg =
         b.build().toConfig(core::Mechanism::PnAR2);
     // Full model math on every read (no profile memoization): the
-    // representative worst case for CPU-bound sweeps, and the regime
-    // the sharded engine exists for.
+    // representative worst case for CPU-bound sweeps.
     cfg.ssd.profileCacheSlots = 0;
-    cfg.threads = threads;
     return cfg;
 }
 
 sim::BenchRun
-measureParallel(std::uint32_t threads,
-                std::uint64_t requests_per_tenant, int repeat)
+measureParallel(std::uint64_t requests_per_tenant, int repeat)
 {
     return measureScenario(
-        "par4d-" + std::to_string(threads) + "t",
-        [&] { return parallelScenario(requests_per_tenant, threads); },
-        repeat);
+        "par4d",
+        [&] { return parallelScenario(requests_per_tenant); }, repeat);
 }
 
 /**
@@ -325,11 +311,10 @@ faultScenario(core::Mechanism mech,
               std::uint64_t requests_per_tenant, FaultMode mode)
 {
     host::ScenarioBuilder b;
-    // Runs on the sharded per-drive engine (50 us host link, 4
-    // workers) since PR 10: the fault machinery is host-domain-
-    // confined, and a faulted array is exactly where the executor's
-    // idle-window fast-forward matters — a dead drive leaves sparse
-    // windows where only one domain has work.
+    // Runs on the sharded per-drive engine (50 us host link): the
+    // fault machinery is host-domain-confined, and a faulted array is
+    // where sparse windows dominate — a dead drive leaves windows in
+    // which only one domain has work.
     b.geometry("small")
         .pec(1.0)
         .retention(6.0)
@@ -353,9 +338,7 @@ faultScenario(core::Mechanism mech,
                  requests_per_tenant)
             .qdLimit(16);
     }
-    host::ScenarioConfig cfg = b.build().toConfig(mech);
-    cfg.threads = 4;
-    return cfg;
+    return b.build().toConfig(mech);
 }
 
 const char *
@@ -395,9 +378,8 @@ measureFault(core::Mechanism mech, FaultMode mode,
  * subrequests to drives behind one switch queue on the shared hop.
  * The per-read fabric wait and max link queue depth quantify what
  * the topology costs; retry-heavy mechanisms amplify it with every
- * extra drive-time their reads spend holding queue slots. Runs with
- * 4 workers — each fabric node is its own domain, and results are
- * worker-count-invariant like everything else.
+ * extra drive-time their reads spend holding queue slots. Each
+ * fabric node is its own executor domain.
  */
 enum class FabricMode { Flat, Tree, Oversub };
 
@@ -428,9 +410,7 @@ fabricScenario(core::Mechanism mech,
                  requests_per_tenant)
             .qdLimit(16);
     }
-    host::ScenarioConfig cfg = b.build().toConfig(mech);
-    cfg.threads = 4;
-    return cfg;
+    return b.build().toConfig(mech);
 }
 
 const char *
@@ -458,22 +438,6 @@ measureFabric(core::Mechanism mech, FabricMode mode,
             return fabricScenario(mech, requests_per_tenant, mode);
         },
         repeat);
-}
-
-/** The deterministic fields two thread counts must agree on. */
-bool
-identicalResults(const sim::BenchRun &a, const sim::BenchRun &b)
-{
-    return a.executedEvents == b.executedEvents && a.reads == b.reads &&
-           a.writes == b.writes && a.retrySamples == b.retrySamples &&
-           a.suspensions == b.suspensions &&
-           a.gcCollections == b.gcCollections &&
-           a.readFailures == b.readFailures &&
-           a.refreshes == b.refreshes &&
-           a.simulatedMs == b.simulatedMs &&
-           a.avgRetrySteps == b.avgRetrySteps &&
-           a.p50ReadUs == b.p50ReadUs && a.p99ReadUs == b.p99ReadUs &&
-           a.p999ReadUs == b.p999ReadUs;
 }
 
 } // namespace
@@ -521,7 +485,7 @@ main(int argc, char **argv)
     const std::uint64_t ft_per_tenant = short_mode ? 300 : 1000;
     const std::uint64_t fb_per_tenant = short_mode ? 300 : 1000;
     // Six scenarios share this file: the digested tail runs, then
-    // the par4d-* sharded-engine, raid5-* degraded-read, cached-*
+    // the par4d sharded-engine, raid5-* degraded-read, cached-*
     // filter-chain, fault-* fault-timeline and fabric-* storage-
     // fabric runs appended after them.
     const std::string label =
@@ -529,10 +493,10 @@ main(int argc, char **argv)
         (short_mode ? "short" : "full") +
         " (4 closed-loop tenants x " + std::to_string(per_tenant) +
         " usr_1 reqs, QD 16, 2-drive array, 1K P/E + 6-month "
-        "retention); par4d-*: 8 closed-loop tenants x " +
+        "retention); par4d: 8 closed-loop tenants x " +
         std::to_string(par_per_tenant) +
         " usr_1/YCSB-C reqs, QD 32, 4-drive array, 50 us host link, "
-        "profile cache off, PnAR2, 1 vs 4 worker threads; raid5-*: "
+        "profile cache off, PnAR2; raid5-*: "
         "4 closed-loop tenants x " +
         std::to_string(r5_per_tenant) +
         " usr_1 reqs, QD 16, 4-drive raid5 (unit 4), 2K P/E + "
@@ -544,11 +508,11 @@ main(int argc, char **argv)
         "tenants x " +
         std::to_string(ft_per_tenant) +
         " usr_1 reqs, QD 16, 4-drive raid5 (unit 4), 50 us host "
-        "link, 4 workers, healthy vs 3x fail-slow vs fail-stop at "
+        "link, healthy vs 3x fail-slow vs fail-stop at "
         "4 ms + 48-row rebuild-to-spare; "
         "fabric-*: 4 closed-loop tenants x " +
         std::to_string(fb_per_tenant) +
-        " usr_1 reqs, QD 16, 4-drive array, 4 workers, flat "
+        " usr_1 reqs, QD 16, 4-drive array, flat "
         "per-drive links vs a 2-switch tree vs the tree with 16x "
         "oversubscribed uplinks";
 
@@ -577,46 +541,21 @@ main(int argc, char **argv)
     // The golden digest covers exactly these single-queue runs.
     const std::vector<sim::BenchRun> core_runs = runs;
 
-    // ----- sharded per-drive engine: 4 drives, 1 vs 4 workers -----
+    // ----- sharded per-drive engine: 4 drives -----
     std::printf("\nparallel array — 8 closed-loop tenants x %llu reqs, "
                 "QD 32, 4-drive array, 50 us host link, profile "
-                "cache off, PnAR2 (%u cores available)\n",
-                static_cast<unsigned long long>(par_per_tenant),
-                std::thread::hardware_concurrency());
-    std::printf("%-10s %12s %14s %12s %12s\n", "threads", "wall[s]",
+                "cache off, PnAR2\n",
+                static_cast<unsigned long long>(par_per_tenant));
+    std::printf("%-10s %12s %14s %12s %12s\n", "config", "wall[s]",
                 "events/s", "reads/s", "events");
-    std::vector<sim::BenchRun> par_runs;
-    for (std::uint32_t threads : {1u, 4u}) {
-        par_runs.push_back(
-            measureParallel(threads, par_per_tenant, repeat));
-        const sim::BenchRun &r = par_runs.back();
+    {
+        runs.push_back(measureParallel(par_per_tenant, repeat));
+        const sim::BenchRun &r = runs.back();
         std::printf("%-10s %12.3f %14.0f %12.0f %12llu\n",
                     r.name.c_str(), r.wallSeconds, r.eventsPerSecond,
                     r.readsPerSecond,
                     static_cast<unsigned long long>(r.executedEvents));
     }
-    if (!identicalResults(par_runs[0], par_runs[1])) {
-        std::fprintf(stderr,
-                     "FAIL: sharded engine results differ between 1 "
-                     "and 4 worker threads — determinism is broken\n%s",
-                     sim::benchDigestText(par_runs).c_str());
-        return 1;
-    }
-    if (par_runs[1].wallSeconds > 0.0)
-        std::printf("speedup (4 threads vs 1): %.2fx "
-                    "(bit-identical results)\n",
-                    par_runs[0].wallSeconds / par_runs[1].wallSeconds);
-    if (std::thread::hardware_concurrency() < 4) {
-        // The speedup comparison presumes 4 hardware threads; on a
-        // smaller machine the 4-worker run just timeslices, so keep
-        // the entries for trajectory continuity but flag them.
-        for (sim::BenchRun &r : par_runs)
-            r.unreliable = true;
-        std::printf("note: fewer than 4 hardware threads — par4d-* "
-                    "and fabric-* wall times marked unreliable in "
-                    "the JSON\n");
-    }
-    runs.insert(runs.end(), par_runs.begin(), par_runs.end());
 
     // ----- RAID-5 degraded reads: healthy vs 1 failed drive -----
     std::printf("\nraid5 degraded reads — 4 closed-loop tenants x "
@@ -681,7 +620,7 @@ main(int argc, char **argv)
     // ----- fault timeline: healthy vs fail-slow vs fail-stop -----
     std::printf("\nfault timeline — 4 closed-loop tenants x %llu "
                 "usr_1 reqs, QD 16, 4-drive raid5 (unit 4), 50 us "
-                "host link, 4 workers, healthy vs open-ended 3x "
+                "host link, healthy vs open-ended 3x "
                 "fail-slow on drive 2 vs drive 0 fail-stop at 4 ms "
                 "+ rebuild-to-spare (48 rows, 20 ms deadline)\n",
                 static_cast<unsigned long long>(ft_per_tenant));
@@ -717,22 +656,21 @@ main(int argc, char **argv)
 
     // ----- storage fabric: flat vs switched vs oversubscribed -----
     std::printf("\nstorage fabric — 4 closed-loop tenants x %llu "
-                "usr_1 reqs, QD 16, 4-drive array, 4 workers, flat "
+                "usr_1 reqs, QD 16, 4-drive array, flat "
                 "per-drive links vs 2-switch tree vs 16x "
                 "oversubscribed uplinks\n",
                 static_cast<unsigned long long>(fb_per_tenant));
     std::printf("%-24s %12s %10s %12s %10s %8s\n", "config",
                 "wall[s]", "p99r[us]", "fabwait[us]", "fab-KiB",
                 "maxQ");
-    std::vector<sim::BenchRun> fabric_runs;
     for (core::Mechanism m :
          {core::Mechanism::Baseline, core::Mechanism::PnAR2}) {
         for (FabricMode mode :
              {FabricMode::Flat, FabricMode::Tree,
               FabricMode::Oversub}) {
-            fabric_runs.push_back(
+            runs.push_back(
                 measureFabric(m, mode, fb_per_tenant, repeat));
-            const sim::BenchRun &r = fabric_runs.back();
+            const sim::BenchRun &r = runs.back();
             std::printf("%-24s %12.3f %10.1f %12.2f %10llu %8u\n",
                         r.name.c_str(), r.wallSeconds, r.p99ReadUs,
                         r.avgFabricWaitUs,
@@ -741,13 +679,6 @@ main(int argc, char **argv)
                         r.fabricMaxQueueDepth);
         }
     }
-    if (std::thread::hardware_concurrency() < 4) {
-        // Same caveat as par4d-*: the 4-worker wall times presume 4
-        // hardware threads.
-        for (sim::BenchRun &r : fabric_runs)
-            r.unreliable = true;
-    }
-    runs.insert(runs.end(), fabric_runs.begin(), fabric_runs.end());
 
     if (!sim::writeBenchJson(json_path, label, runs))
         return 1;

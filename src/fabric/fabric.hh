@@ -23,8 +23,7 @@
  * sharing a hop serialize in arrival order. Each link direction keeps
  * its own FIFO state (links are full duplex) and that state is only
  * ever touched from the direction's sending domain, which preserves
- * the executor's domains-share-nothing contract — worker-count
- * invariance and tsan-cleanliness hold by construction.
+ * the executor's domains-share-nothing contract.
  *
  * The conservative window is the topology's minimum link latency:
  * every hop delivers at least one full link latency after it is sent,

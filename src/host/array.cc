@@ -5,13 +5,11 @@
 namespace ssdrr::host {
 
 SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
-                   std::uint32_t drives, sim::Tick host_link,
-                   std::uint32_t threads)
+                   std::uint32_t drives, sim::Tick host_link)
     : SsdArray(cfg, mech, [&] {
           Options opt;
           opt.drives = drives;
           opt.hostLink = host_link;
-          opt.threads = threads;
           return opt;
       }())
 {
@@ -55,8 +53,7 @@ SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
         fabric::Topology topo =
             fabric::Topology::compile(opt.fabric, opt.drives);
         exec_ = std::make_unique<sim::ParallelExecutor>(
-            topo.minLinkLatency(), opt.threads == 0 ? 1 : opt.threads,
-            opt.batchMailbox);
+            topo.minLinkLatency(), opt.batchMailbox);
         host_dom_ = exec_->addDomain(eq_);
         // Registers the switch domains, in node-declaration order.
         fabric_ = std::make_unique<fabric::Fabric>(std::move(topo),
@@ -64,8 +61,7 @@ SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
                                                    eq_);
     } else if (link_ > 0) {
         exec_ = std::make_unique<sim::ParallelExecutor>(
-            link_, opt.threads == 0 ? 1 : opt.threads,
-            opt.batchMailbox);
+            link_, opt.batchMailbox);
         host_dom_ = exec_->addDomain(eq_);
     }
     for (std::uint32_t d = 0; d < opt.drives; ++d) {
@@ -221,7 +217,7 @@ SsdArray::submit(const ssd::HostRequest &req)
 void
 SsdArray::driveComplete(std::uint32_t d, const ssd::HostCompletion &c)
 {
-    // Runs on the drive's worker thread, inside the drive's window.
+    // Runs on the drive's domain, inside the drive's window.
     // Ship the completion across the host link; subComplete then
     // executes on the host domain at the delivery tick. Uses only
     // the completion record and immutable config — host-side maps
@@ -520,8 +516,6 @@ SsdArray::stats() const
     if (exec_) {
         s.executorWindowsRun = exec_->windowsRun();
         s.executorWindowsSkipped = exec_->windowsSkipped();
-        s.executorParks = exec_->parks();
-        s.executorSpins = exec_->spins();
     }
     if (fabric_) {
         // Switch queues drove the run too; their events count like

@@ -1,7 +1,7 @@
 /**
  * @file
  * Array of SSDs behind a pluggable address layout, on one shared
- * timeline or sharded across worker threads.
+ * timeline or on per-drive timelines synchronized in windows.
  *
  * The array exports a single flat logical space whose size and
  * placement are owned by a host::ArrayLayout (array_layout.hh):
@@ -32,24 +32,21 @@
  *    hostLink ticks after the drive raises them (modelling the
  *    PCIe/NVMe doorbell-fetch/interrupt turnaround). Cross-queue
  *    traffic flows through sim::ParallelExecutor mailboxes with
- *    window width hostLink, so the drives simulate concurrently on
- *    `threads` workers — and, by the executor's determinism
- *    contract, produce bit-identical results for ANY thread count,
- *    including 1.
+ *    window width hostLink.
  *  - Options::fabric non-empty (mutually exclusive with hostLink):
  *    the sharded engine again, but dispatch/completion crossings are
  *    routed hop-by-hop through a fabric::Fabric — a tree of switches
  *    and links with per-hop latency, byte-proportional serialization,
  *    and FIFO contention (see fabric/fabric.hh). Every switch is its
  *    own executor domain; the window is the topology's minimum link
- *    latency, so worker-count invariance carries over unchanged.
+ *    latency.
  *
  * Robustness (Options::faults / timeout / retry): a declared
  * sim::FaultInjector timeline makes drives fail-stop, fail-slow, or
  * return uncorrectable reads mid-run. All fault decisions execute on
  * the host domain (dispatch drop, completion swallow/stretch, seeded
- * UECC draw keyed on the subrequest id), so worker-count invariance
- * holds and an empty timeline is bit-identical to a faultless array.
+ * UECC draw keyed on the subrequest id), and an empty timeline is
+ * bit-identical to a faultless array.
  * With a timeout set, every subrequest carries a deadline; expiry
  * retries it with exponential backoff and, once attempts are
  * exhausted, fails over: a RAID-5 data read becomes the existing
@@ -102,9 +99,6 @@ class SsdArray
          *  legacy shared-queue engine, > 0 selects the windowed
          *  per-drive engine (see file comment). */
         sim::Tick hostLink = 0;
-        /** Worker threads for the windowed engine (ignored by the
-         *  legacy shared-queue engine; results do not depend on it). */
-        std::uint32_t threads = 1;
         /** Doorbell batching for the windowed engine: coalesce
          *  mailbox crossings sharing a (receiver, delivery tick)
          *  into one heap event at the window barrier. Bit-identical
@@ -145,8 +139,7 @@ class SsdArray
 
     /** Legacy convenience: RAID-0 with @p drives members. */
     SsdArray(const ssd::Config &cfg, core::Mechanism mech,
-             std::uint32_t drives, sim::Tick host_link = 0,
-             std::uint32_t threads = 1);
+             std::uint32_t drives, sim::Tick host_link = 0);
 
     /** Host-side event queue (the shared queue in legacy mode). All
      *  host-layer actors (tenants, HostInterface) schedule here. */
@@ -214,7 +207,7 @@ class SsdArray
      * Submit a request against the global LPN space at the current
      * simulated time. Request ids must be unique among outstanding
      * requests. Must be called from the host side (a host event, or
-     * the coordinator thread between runs).
+     * the caller between runs).
      */
     void submit(const ssd::HostRequest &req);
 

@@ -19,8 +19,8 @@
  *
  * The chain lives entirely on the host simulation domain: filters
  * schedule only on the host event queue, so the sharded per-drive
- * engine's determinism contract (bit-identical results for any
- * worker count) extends to every filter automatically.
+ * engine's determinism contract extends to every filter
+ * automatically.
  *
  * An EMPTY chain is a wire: submit()/complete() forward directly
  * with no per-request overhead and no observable effect — scenarios

@@ -172,7 +172,6 @@ runScenario(const ScenarioConfig &cfg)
     aopt.stripeUnitPages = cfg.stripeUnitPages;
     aopt.failedDrives = cfg.failedDrives;
     aopt.hostLink = sim::usec(cfg.hostLinkUs);
-    aopt.threads = cfg.threads;
     aopt.batchMailbox = cfg.batchMailbox;
     aopt.fabric = cfg.fabric;
     aopt.faults = cfg.faults;

@@ -109,17 +109,11 @@ struct ScenarioConfig {
      */
     double hostLinkUs = 0.0;
     /**
-     * Worker threads for the windowed engine (needs hostLinkUs > 0
-     * or a fabric to matter). Results are bit-identical for any
-     * value.
-     */
-    std::uint32_t threads = 1;
-    /**
      * Doorbell batching for the windowed engine: coalesce mailbox
      * crossings that share a (receiver, delivery tick) into one heap
      * event per window barrier. Bit-identical to unbatched delivery
-     * for any thread count (an engine tuning knob like threads, not
-     * part of the scenario's observable spec — it has no JSON field);
+     * (an engine tuning knob, not part of the scenario's observable
+     * spec — it has no JSON field);
      * off exists for the batched-vs-unbatched parity tests.
      */
     bool batchMailbox = true;

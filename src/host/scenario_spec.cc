@@ -1,11 +1,9 @@
 #include "host/scenario_spec.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "workload/suites.hh"
 
@@ -982,21 +980,15 @@ ScenarioSpec::validate() const
                  "which would silently fall back to the legacy "
                  "shared-queue engine; use 0 explicitly, or at least "
                  "0.001");
-    // threads == 0 is "use hardware_concurrency" sugar, resolved at
-    // toConfig() time; like any multi-worker request it needs an
-    // engine with synchronization windows to parallelize over.
+    // threads has no effect; its rule stays so that every spec's
+    // verdict is stable across versions.
     if (threads != 1 && hostLinkUs <= 0.0 && fabric.empty())
-        specFail("threads: " +
-                 (threads == 0
-                      ? std::string("0 (hardware concurrency)")
-                      : std::to_string(threads)) +
-                 " worker threads need host.hostLinkUs > 0 or a "
-                 "fabric — the parallel engine synchronizes drives "
-                 "at cross-domain-latency windows, and an "
-                 "instantaneous link leaves no window to run "
-                 "concurrently in; set host.hostLinkUs (a few "
-                 "microseconds of NVMe doorbell/interrupt latency), "
-                 "declare a fabric, or drop threads");
+        specFail("threads: " + std::to_string(threads) +
+                 " (accepted for compatibility; it starts no "
+                 "threads) — values other than 1 need "
+                 "host.hostLinkUs > 0 or a fabric; set "
+                 "host.hostLinkUs, declare a fabric, or drop "
+                 "threads");
     if (!fabric.empty()) {
         if (hostLinkUs > 0.0)
             specFail("host.hostLinkUs: set alongside a fabric — the "
@@ -1217,14 +1209,6 @@ ScenarioSpec::toConfig(core::Mechanism mech, TraceCache *cache) const
     sc.host.filters = filters;
     sc.hostLinkUs = hostLinkUs;
     sc.transferUsPerKb = transferUsPerKb;
-    // threads: 0 resolves to the machine's core count here — the
-    // *spec* keeps the literal 0 (so it round-trips through
-    // --dump-scenario and stays machine-independent on disk); only
-    // the executable config is machine-specific. Results are
-    // bit-identical either way.
-    sc.threads = threads != 0
-                     ? threads
-                     : std::max(1u, std::thread::hardware_concurrency());
     sc.fabric = fabric;
     sc.tenants = tenants;
     sc.traceCache = cache;

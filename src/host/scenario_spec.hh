@@ -127,16 +127,10 @@ struct ScenarioSpec {
      *  array.failedDrives. */
     std::vector<FaultSpec> faults;
     /**
-     * Worker threads for the sharded per-drive engine. 1 (default)
-     * runs everything on the calling thread; N > 1 simulates the
-     * drives concurrently and requires hostLinkUs > 0 or a fabric
-     * (the engine's synchronization window is the host-link
-     * turnaround / the fabric's cheapest link). 0 is sugar for "use
-     * the machine's hardware concurrency", resolved at toConfig()
-     * time — the spec keeps the literal 0 so it round-trips through
-     * --dump-scenario machine-independently; it carries the same
-     * link/fabric requirement as N > 1. Results are bit-identical
-     * for every value of threads.
+     * Accepted for compatibility; starts no threads and changes no
+     * result (every run executes on the calling thread). It still
+     * parses, round-trips through --dump-scenario, and keeps its old
+     * rule: any value but 1 requires hostLinkUs > 0 or a fabric.
      */
     std::uint32_t threads = 1;
     // ----- storage fabric (JSON object "fabric") -----
@@ -174,7 +168,7 @@ struct ScenarioSpec {
      * PCIe/NVMe doorbell-fetch and interrupt paths). 0 = legacy
      * instantaneous coupling on one shared event queue; > 0 switches
      * to per-drive event queues synchronized at host-link windows
-     * (and enables threads > 1).
+     * (and permits threads other than 1).
      */
     double hostLinkUs = 0.0;
     /**
@@ -289,8 +283,8 @@ class ScenarioBuilder
     ScenarioBuilder &stripeUnitPages(std::uint32_t pages);
     /** Failed member drives (degraded mode). */
     ScenarioBuilder &failedDrives(const std::vector<std::uint32_t> &d);
-    /** Worker threads (needs hostLinkUs() > 0 or a fabric when not
-     *  exactly 1; 0 = use hardware concurrency). */
+    /** Compatibility knob with no effect (needs hostLinkUs() > 0 or
+     *  a fabric when not exactly 1). */
     ScenarioBuilder &threads(std::uint32_t n);
     /** Storage-fabric topology (excludes hostLinkUs() > 0). */
     ScenarioBuilder &fabric(const fabric::TopologySpec &topo);

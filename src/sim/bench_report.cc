@@ -150,11 +150,7 @@ writeBenchJson(const std::string &path, const std::string &label,
         f << "      \"fabric_max_queue_depth\": "
           << r.fabricMaxQueueDepth << ",\n";
         f << "      \"windows_run\": " << r.windowsRun << ",\n";
-        f << "      \"windows_skipped\": " << r.windowsSkipped << ",\n";
-        f << "      \"parks\": " << r.parks << ",\n";
-        f << "      \"spins\": " << r.spins << ",\n";
-        f << "      \"unreliable\": "
-          << (r.unreliable ? "true" : "false") << "\n";
+        f << "      \"windows_skipped\": " << r.windowsSkipped << "\n";
         f << "    }" << (i + 1 < runs.size() ? "," : "") << "\n";
     }
     f << "  ]\n";

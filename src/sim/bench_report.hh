@@ -82,22 +82,11 @@ struct BenchRun {
     double fabricBusyUs = 0.0;
     std::uint64_t fabricBytes = 0;
     std::uint32_t fabricMaxQueueDepth = 0;
-    // ----- parallel-executor accounting (informational, not
-    // digested: zero on the legacy single-queue engine, and parks/
-    // spins are timing-dependent by nature — windowsRun and
-    // windowsSkipped are deterministic but the golden digest
-    // predates the executor counters) -----
+    // ----- window-executor accounting (informational, not
+    // digested: zero on the legacy single-queue engine; deterministic,
+    // but the golden digest predates the executor counters) -----
     std::uint64_t windowsRun = 0;
     std::uint64_t windowsSkipped = 0;
-    std::uint64_t parks = 0;
-    std::uint64_t spins = 0;
-    /**
-     * True when the measurement environment cannot support the run's
-     * premise (e.g. a 4-thread speedup measured on fewer than 4
-     * hardware threads): keep the entry for trajectory continuity but
-     * flag it so dashboards exclude it.
-     */
-    bool unreliable = false;
 };
 
 /**

@@ -24,9 +24,9 @@
  * Thread-safety: none is provided or needed. A callback belongs to
  * the simulation domain whose EventQueue (or ParallelExecutor
  * mailbox) holds it, and is only constructed, moved, invoked, and
- * destroyed by the one thread executing that domain. Moving a
- * callback across domains via ParallelExecutor::send is safe because
- * the executor's window barriers order the handoff.
+ * destroyed while that domain executes. Moving a callback across
+ * domains via ParallelExecutor::send is safe because the executor
+ * hands it over only at a window barrier.
  *
  * Determinism: invocation performs no allocation and no global
  * lookups; captures are plain moved state, so replaying the same

@@ -37,20 +37,17 @@
  *    array's host side) and is NOT internally synchronized. All
  *    calls — schedule, cancel, run, step — must come from the one
  *    thread currently executing that domain.
- *  - Under sim::ParallelExecutor, domains run on worker threads but
- *    only between window barriers; the executor's barriers establish
- *    the happens-before edges, so a queue is still touched by at
- *    most one thread at a time. Cross-domain communication must go
- *    through ParallelExecutor::send, never by scheduling directly
- *    onto another domain's queue.
+ *  - Under sim::ParallelExecutor, domains run one after another on
+ *    the calling thread, one window at a time. Cross-domain
+ *    communication must go through ParallelExecutor::send, never by
+ *    scheduling directly onto another domain's queue.
  *
  * Determinism contract: events execute in (tick, seq) order, where
  * seq is the queue-local scheduling order (or a number reserved at
  * that point of it, see reserveSequence()). Any run that performs the
  * same schedule() calls in the same order executes callbacks in the
  * same order — this, plus the executor's sorted mailbox delivery, is
- * what makes multi-threaded runs bit-identical to single-threaded
- * ones.
+ * what makes a multi-domain run reproducible.
  */
 
 #ifndef SSDRR_SIM_EVENT_QUEUE_HH

@@ -13,11 +13,10 @@
  * Determinism contract: the injector holds no mutable state and no
  * sequential RNG. UECC draws hash (seed, drive, token) with a
  * splitmix64-style finalizer, so a draw depends only on its inputs —
- * never on how many draws other drives or workers made before it.
- * All queries are made from the host domain (host/array.cc), which
- * keeps worker-count invariance and bit-identical replay: the same
- * timeline and seed give the same faults for ANY thread count, and
- * an empty timeline changes nothing at all.
+ * never on how many draws other drives made before it. All queries
+ * are made from the host domain (host/array.cc), which keeps replay
+ * bit-identical: the same timeline and seed give the same faults,
+ * and an empty timeline changes nothing at all.
  */
 
 #ifndef SSDRR_SIM_FAULT_INJECTOR_HH

@@ -1,41 +1,19 @@
 #include "sim/parallel_executor.hh"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "sim/logging.hh"
 
 namespace ssdrr::sim {
 
-namespace {
-
-/** Yield cadence inside the bounded spin: every 64th iteration gives
- *  the core away so a descheduled peer can make progress. */
-constexpr unsigned kYieldEvery = 64;
-
-} // namespace
-
-ParallelExecutor::ParallelExecutor(Tick window, unsigned threads,
-                                   bool batch_mailbox)
-    : window_(window), threads_(threads == 0 ? 1 : threads),
-      batch_mailbox_(batch_mailbox)
+ParallelExecutor::ParallelExecutor(Tick window, bool batch_mailbox)
+    : window_(window), batch_mailbox_(batch_mailbox)
 {
     SSDRR_ASSERT(window_ > 0,
                  "synchronization window must be positive (it is the "
                  "minimum cross-domain latency)");
-    // Adaptive parking policy, fixed at construction: when the pool
-    // fits the machine, a peer's handshake is microseconds away and
-    // a generous spin keeps the barrier syscall-free; when threads
-    // outnumber cores, the peer is *descheduled* — every spin
-    // iteration steals the timeslice it needs — so park almost
-    // immediately and let the scheduler run the peer.
-    const unsigned hw = std::thread::hardware_concurrency();
-    spin_budget_ = (hw != 0 && threads_ > hw) ? 16 : 2048;
-    wait_counters_.resize(1); // slot 0: coordinator
 }
-
-ParallelExecutor::~ParallelExecutor() = default;
 
 ParallelExecutor::DomainId
 ParallelExecutor::addDomain(EventQueue &q)
@@ -71,9 +49,7 @@ ParallelExecutor::route()
 {
     // Deliveries are totally ordered by (receiver, tick, sender id,
     // sender send-order) — explicit in the comparator, so the order
-    // never depends on gather order, sort stability, or which worker
-    // executed each sender. This is what keeps delivery (and
-    // therefore the whole run) identical across worker counts.
+    // never depends on gather order or sort stability.
     route_scratch_.clear();
     for (Domain &d : doms_) {
         for (Msg &m : d.outbox)
@@ -132,105 +108,11 @@ ParallelExecutor::route()
     route_scratch_.clear();
 }
 
-void
-ParallelExecutor::runShard(unsigned offset, unsigned stride)
-{
-    const Tick until = window_end_ - 1; // run(until) is inclusive
-    for (std::size_t d = offset; d < doms_.size(); d += stride)
-        doms_[d].q->run(until);
-}
-
-std::uint64_t
-ParallelExecutor::parks() const
-{
-    std::uint64_t n = 0;
-    for (const WaitCounters &w : wait_counters_)
-        n += w.parks;
-    return n;
-}
-
-std::uint64_t
-ParallelExecutor::spins() const
-{
-    std::uint64_t n = 0;
-    for (const WaitCounters &w : wait_counters_)
-        n += w.spins;
-    return n;
-}
-
-void
-ParallelExecutor::wakeWorkers()
-{
-    // Dekker-style pairing with the worker's park sequence: the
-    // worker bumps parked_workers_ (seq_cst) before re-checking
-    // epoch_ under park_mu_; we bumped epoch_ (seq_cst) before this
-    // load. Whichever side's store commits first, either the worker
-    // observes the new epoch and never sleeps, or we observe the
-    // parked count and take the lock — acquiring park_mu_ orders us
-    // after the worker's predicate check, so the notify cannot land
-    // in the lost-wakeup gap.
-    if (parked_workers_.load() == 0)
-        return;
-    { std::lock_guard<std::mutex> lk(park_mu_); }
-    park_cv_.notify_all();
-}
-
-void
-ParallelExecutor::workerLoop(unsigned index, std::uint64_t start_epoch)
-{
-    WaitCounters &me = wait_counters_[1 + index];
-    std::uint64_t seen = start_epoch;
-    while (true) {
-        std::uint64_t e;
-        unsigned spins = 0;
-        while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-            if (++spins <= spin_budget_) {
-                if (spins % kYieldEvery == 0)
-                    std::this_thread::yield();
-                continue;
-            }
-            me.spins += spins;
-            spins = 0;
-            std::unique_lock<std::mutex> lk(park_mu_);
-            parked_workers_.fetch_add(1);
-            ++me.parks;
-            park_cv_.wait(lk, [&] {
-                return epoch_.load(std::memory_order_acquire) != seen;
-            });
-            parked_workers_.fetch_sub(1);
-        }
-        me.spins += spins;
-        seen = e;
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        runShard(index + 1, pool_size_ + 1);
-        done_.fetch_add(1); // seq_cst: pairs with coord_parked_ check
-        if (coord_parked_.load()) {
-            { std::lock_guard<std::mutex> lk(park_mu_); }
-            done_cv_.notify_one();
-        }
-    }
-}
-
 Tick
 ParallelExecutor::run()
 {
     SSDRR_ASSERT(!doms_.empty(), "no domains registered");
     route(); // deliver anything sent before the run started
-
-    const unsigned nthreads = static_cast<unsigned>(std::min<std::size_t>(
-        threads_, doms_.size()));
-    pool_size_ = nthreads - 1;
-    stop_.store(false, std::memory_order_release);
-    if (wait_counters_.size() < 1 + pool_size_)
-        wait_counters_.resize(1 + pool_size_);
-    const std::uint64_t epoch0 = epoch_.load(std::memory_order_relaxed);
-    std::vector<std::thread> pool;
-    pool.reserve(pool_size_);
-    for (unsigned w = 0; w < pool_size_; ++w)
-        pool.emplace_back(&ParallelExecutor::workerLoop, this, w,
-                          epoch0);
-    WaitCounters &coord = wait_counters_[0];
 
     while (true) {
         Tick next = kTickNever;
@@ -243,67 +125,19 @@ ParallelExecutor::run()
         window_end_ = next + window_;
         ++windows_run_;
 
-        // Idle-window fast-forward: the window start already jumped
-        // to the global minimum pending tick, so what remains of a
-        // sparse phase is windows whose work all lives in ONE domain
-        // (a lone request ping-ponging host <-> drive). Every other
-        // domain's nextPendingTick() — a pure O(1) probe — lands at
-        // or past the window end, no outbox holds mail (route() ran),
-        // and running an empty queue is a no-op, so executing the
-        // one active domain inline is bit-identical to a full
-        // dispatch and skips the whole epoch handshake; the fleet
-        // stays parked. Derived from queue state only => the same
-        // windows fast-forward at every worker count.
-        std::size_t active = 0, lone = 0;
-        for (std::size_t d = 0; d < doms_.size(); ++d) {
-            if (doms_[d].q->nextPendingTick() < window_end_) {
-                lone = d;
-                if (++active > 1)
-                    break;
+        // Run every domain with work before the window end. Domains
+        // share nothing within a window (sends wait in outboxes), so
+        // running one cannot change another's nextPendingTick().
+        std::size_t active = 0;
+        for (Domain &d : doms_) {
+            if (d.q->nextPendingTick() < window_end_) {
+                d.q->run(window_end_ - 1); // run(until) is inclusive
+                ++active;
             }
         }
-        if (active == 1) {
+        if (active == 1)
             ++windows_skipped_;
-            doms_[lone].q->run(window_end_ - 1);
-        } else if (pool_size_ == 0) {
-            runShard(0, 1);
-        } else {
-            done_.store(0, std::memory_order_relaxed);
-            // window_end_ is published by this increment (seq_cst:
-            // pairs with the workers' parked_workers_ handshake).
-            epoch_.fetch_add(1);
-            wakeWorkers();
-            runShard(0, pool_size_ + 1);
-            unsigned spins = 0;
-            while (done_.load(std::memory_order_acquire) !=
-                   pool_size_) {
-                if (++spins <= spin_budget_) {
-                    if (spins % kYieldEvery == 0)
-                        std::this_thread::yield();
-                    continue;
-                }
-                coord.spins += spins;
-                spins = 0;
-                std::unique_lock<std::mutex> lk(park_mu_);
-                coord_parked_.store(true);
-                ++coord.parks;
-                done_cv_.wait(lk, [&] {
-                    return done_.load(std::memory_order_acquire) ==
-                           pool_size_;
-                });
-                coord_parked_.store(false);
-            }
-            coord.spins += spins;
-        }
         route();
-    }
-
-    if (pool_size_ > 0) {
-        stop_.store(true, std::memory_order_release);
-        epoch_.fetch_add(1);
-        wakeWorkers();
-        for (std::thread &t : pool)
-            t.join();
     }
 
     // Align every domain's clock to the run's end so time-normalized

@@ -1,64 +1,46 @@
 /**
  * @file
- * Conservative time-window synchronizer for sharded discrete-event
- * simulation.
+ * Conservative time-window synchronizer for multi-domain
+ * discrete-event simulation.
  *
  * A ParallelExecutor advances several simulation domains — each one
- * an independent EventQueue (the drives of a host::SsdArray plus its
- * host side) — in lock-step windows of a fixed width Δ. Δ must be a
- * lower bound on the cross-domain interaction latency (for an SSD
- * array: the host dispatch/completion turnaround), so every message
- * sent during window [W, W+Δ) is delivered at a tick >= W+Δ and can
- * be exchanged at the window boundary without ever violating
- * causality. Within a window, domains share nothing and run
- * concurrently on a worker pool.
+ * an independent EventQueue (the drives of a host::SsdArray, its
+ * fabric switches and its host side) — in lock-step windows of a
+ * fixed width Δ. Δ must be a lower bound on the cross-domain
+ * interaction latency (for an SSD array: the host dispatch/completion
+ * turnaround, or the fabric's cheapest link), so every message sent
+ * during window [W, W+Δ) is delivered at a tick >= W+Δ and can be
+ * exchanged at the window boundary without ever violating causality.
  *
- * Two idle-path optimizations keep sparse phases cheap without
- * touching the determinism contract:
- *  - Idle-window fast-forward: each window starts at the global
- *    minimum pending tick, and when every domain but one is idle
- *    past the window end the coordinator runs the lone active domain
- *    inline instead of engaging the fleet (windowsSkipped counts
- *    these). Both decisions derive from queue state only, so window
- *    placement is still identical for every worker count.
- *  - Adaptive parking: epoch waits are bounded-spin-then-park on a
- *    condvar, with a spin budget sized to how many hardware cores
- *    back the pool — oversubscribed pools park almost immediately
- *    instead of stealing the running thread's timeslice (spin/park
- *    counters are exposed for reporting; they are timing-dependent
- *    and carry no determinism guarantee).
+ * Every window runs on the calling thread: domains execute one after
+ * another, and the mailbox is routed at each barrier. (The name dates
+ * from a worker pool that ran domains concurrently; it was removed
+ * because at ~1-10 events per window its barrier handshake cost more
+ * than the simulation work it spread.) Each window starts at the
+ * global minimum pending tick, so idle stretches cost nothing;
+ * windowsSkipped counts the windows in which only one domain had
+ * work, the common case of a lone request ping-ponging host <->
+ * drive.
  *
- * Determinism contract (the point of this design): results are
- * bit-identical for any worker count, including 1. This follows from
- * three properties, each enforced here:
- *  1. A domain's execution between barriers is single-threaded and
- *     depends only on its own queue contents (domains must not share
- *     mutable state; cross-domain effects go through send()).
- *  2. Window boundaries are derived only from global queue state
- *     (the minimum pending tick across domains), never from thread
- *     timing.
- *  3. Mailbox delivery is totally ordered: messages are scheduled
+ * Determinism contract: a run's results depend only on the domains'
+ * queue contents and the messages sent, because
+ *  1. a domain's execution between barriers depends only on its own
+ *     queue (domains must not share mutable state; cross-domain
+ *     effects go through send());
+ *  2. window boundaries are derived only from queue state (the
+ *     minimum pending tick across domains);
+ *  3. mailbox delivery is totally ordered: messages are scheduled
  *     onto the receiving queue sorted by (delivery tick, sender
- *     domain id, sender send-order), regardless of which worker ran
- *     the sender.
+ *     domain id, sender send-order).
  *
  * Ownership: the executor borrows the domain EventQueues (callers
- * keep them alive for the executor's lifetime) and owns its worker
- * threads, which exist only inside run().
- *
- * Thread-safety: addDomain() and run() are coordinator-only.
- * send() may be called from whichever worker is currently executing
- * the sending domain's window (the per-sender outbox is
- * thread-confined), or from the coordinator outside run().
+ * keep them alive for the executor's lifetime).
  */
 
 #ifndef SSDRR_SIM_PARALLEL_EXECUTOR_HH
 #define SSDRR_SIM_PARALLEL_EXECUTOR_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -78,9 +60,6 @@ class ParallelExecutor
      *               delivery tick must lie at or beyond the end of
      *               the window it is sent from, which holds whenever
      *               the modelled cross-domain latency is >= Δ
-     * @param threads worker threads for the window phase (clamped to
-     *                [1, domains]; 1 = run domains inline, no
-     *                threads). Results are identical for any value.
      * @param batch_mailbox doorbell batching: coalesce messages that
      *                share a (receiver, delivery tick) into one
      *                EventQueue::scheduleBatch call at the window
@@ -90,14 +69,12 @@ class ParallelExecutor
      *                route()); on by default, off exists for the
      *                batched-vs-unbatched parity oracle.
      */
-    explicit ParallelExecutor(Tick window, unsigned threads = 1,
-                              bool batch_mailbox = true);
-    ~ParallelExecutor();
+    explicit ParallelExecutor(Tick window, bool batch_mailbox = true);
 
     ParallelExecutor(const ParallelExecutor &) = delete;
     ParallelExecutor &operator=(const ParallelExecutor &) = delete;
 
-    /** Register a domain (coordinator-only, before run()). */
+    /** Register a domain (before run()). */
     DomainId addDomain(EventQueue &q);
 
     std::uint32_t domains() const
@@ -105,30 +82,17 @@ class ParallelExecutor
         return static_cast<std::uint32_t>(doms_.size());
     }
     Tick window() const { return window_; }
-    unsigned threads() const { return threads_; }
     /** True when same-(receiver, tick) deliveries are coalesced. */
     bool batchMailbox() const { return batch_mailbox_; }
     /** Windows executed so far (introspection / tests). */
     std::uint64_t windowsRun() const { return windows_run_; }
     /**
-     * Idle-window fast-forward count: windows in which every domain
-     * but one had its nextPendingTick() at or past the window end
-     * (and outboxes were empty, as they always are at the window
-     * decision point), so the coordinator ran the one active domain
-     * inline and never engaged the worker fleet. Derived purely from
-     * queue state, so — like windowsRun() — it is deterministic and
-     * identical for every worker count.
+     * Windows in which exactly one domain had its nextPendingTick()
+     * before the window end, so only that domain ran. Derived purely
+     * from queue state, so — like windowsRun() — it is
+     * deterministic.
      */
     std::uint64_t windowsSkipped() const { return windows_skipped_; }
-    /**
-     * Times any thread (workers + coordinator) gave up its bounded
-     * spin and blocked on the parking condvar. Timing-dependent —
-     * never compare across runs, only report.
-     */
-    std::uint64_t parks() const;
-    /** Total bounded-spin iterations burned while waiting (workers +
-     *  coordinator). Timing-dependent, report-only. */
-    std::uint64_t spins() const;
     /** Messages delivered so far (batched or not). */
     std::uint64_t messagesRouted() const { return messages_routed_; }
     /** Messages that rode in a coalesced batch behind another message
@@ -142,7 +106,7 @@ class ParallelExecutor
     /**
      * Queue @p cb for execution on domain @p to at tick
      * @p deliver_at. Must be called from @p from's execution context
-     * (its worker during a window, or the coordinator outside run());
+     * (one of its events during a window, or outside run());
      * @p deliver_at must not precede the end of the current window.
      * Delivery order for a common (tick, receiver) is (sender id,
      * send order).
@@ -172,63 +136,23 @@ class ParallelExecutor
 
     struct Domain {
         EventQueue *q = nullptr;
-        /** Messages sent by this domain, not yet routed. Confined to
-         *  the thread executing the domain's window. */
+        /** Messages sent by this domain, not yet routed. */
         std::vector<Msg> outbox;
         std::uint64_t next_seq = 1;
     };
 
-    /** Per-thread wait accounting (slot 0 = coordinator, slot 1+i =
-     *  worker i); cache-line sized so workers never share a line. */
-    struct alignas(64) WaitCounters {
-        std::uint64_t spins = 0;
-        std::uint64_t parks = 0;
-    };
-
-    /** Route all outboxes onto the receiving queues (coordinator). */
+    /** Route all outboxes onto the receiving queues. */
     void route();
-    /** Run domains d with d % stride == offset up to window_end_. */
-    void runShard(unsigned offset, unsigned stride);
-    void workerLoop(unsigned index, std::uint64_t start_epoch);
-    /** Wake any workers parked waiting for a new epoch. */
-    void wakeWorkers();
 
     Tick window_;
-    unsigned threads_;
     bool batch_mailbox_;
     std::vector<Domain> doms_;
     std::vector<Msg> route_scratch_;
+    Tick window_end_ = 0; ///< exclusive end of the current window
     std::uint64_t windows_run_ = 0;
     std::uint64_t windows_skipped_ = 0;
     std::uint64_t messages_routed_ = 0;
     std::uint64_t messages_coalesced_ = 0;
-
-    // ----- window-phase worker handshake -----
-    // The coordinator publishes window_end_ and bumps epoch_
-    // (release); workers observe the new epoch (acquire), run their
-    // shard, and bump done_. Dedicated worker threads exist only
-    // while run() executes and only when threads_ > 1.
-    //
-    // Waits are bounded-spin-then-park: each side busy-polls for a
-    // spin budget (small when the pool is oversubscribed — spinning
-    // against a descheduled peer only burns the peer's timeslice —
-    // larger when cores are plentiful), then blocks on park_mu_/
-    // park_cv_. Wakers bump the watched atomic first and only take
-    // the mutex when the parked counter says someone is actually
-    // asleep, so the uncontended window pays two atomic ops and no
-    // syscalls.
-    Tick window_end_ = 0; ///< exclusive; valid for the current epoch
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<unsigned> done_{0};
-    std::atomic<bool> stop_{false};
-    unsigned pool_size_ = 0; ///< spawned workers (threads_ - 1)
-    unsigned spin_budget_ = 0; ///< per-wait iterations before parking
-    std::mutex park_mu_;
-    std::condition_variable park_cv_; ///< workers: new epoch
-    std::condition_variable done_cv_; ///< coordinator: shards done
-    std::atomic<unsigned> parked_workers_{0};
-    std::atomic<bool> coord_parked_{false};
-    std::vector<WaitCounters> wait_counters_;
 };
 
 } // namespace ssdrr::sim

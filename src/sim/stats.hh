@@ -17,7 +17,7 @@
  *
  * Determinism: Histogram percentiles depend only on bucket counts,
  * and merge() is order-insensitive for integer bucket counts, so
- * aggregated views are bit-identical regardless of which worker
+ * aggregated views are bit-identical regardless of which domain
  * recorded which sample — the property the sharded array engine's
  * end-of-run merge relies on. Accumulator means/variances are
  * floating-point sums in insertion order; per-domain insertion order

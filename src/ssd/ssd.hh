@@ -199,21 +199,18 @@ struct RunStats {
      * own count and the array sums host + drive queues.
      */
     std::uint64_t executedEvents = 0;
-    // ----- parallel-executor accounting (zero on the legacy
+    // ----- window-executor accounting (zero on the legacy
     // single-queue engine) -----
     /** Synchronization windows the executor ran. Deterministic:
      *  window placement derives from queue state only. */
     std::uint64_t executorWindowsRun = 0;
-    /** Windows fast-forwarded: only one domain had work before the
-     *  window end, so it ran inline on the coordinator and the
-     *  worker fleet was never engaged. Deterministic, identical for
-     *  every worker count. */
+    /** Windows in which only one domain had work before the window
+     *  end (sim::ParallelExecutor::windowsSkipped). Deterministic. */
     std::uint64_t executorWindowsSkipped = 0;
-    /** Condvar parks across workers + coordinator. Timing-dependent
-     *  (report-only — never compare across runs or thread counts). */
+    /** Always zero: the executor has no worker pool to park or spin.
+     *  Kept only because perfbench/ssdrr_bench.cc still reports them
+     *  (as sim.executor.parks/spins); remove both with those rows. */
     std::uint64_t executorParks = 0;
-    /** Bounded-spin iterations across workers + coordinator.
-     *  Timing-dependent, report-only. */
     std::uint64_t executorSpins = 0;
 };
 
@@ -230,9 +227,8 @@ class Ssd
      * sharded host::SsdArray, whose sim::ParallelExecutor advances
      * the owned queue in synchronization windows. In the sharded
      * case every Ssd method — including the completion hook — runs
-     * on whichever worker thread is executing this drive's window;
-     * the drive touches no state outside itself, so no locking is
-     * needed (the contract the CI tsan job checks).
+     * inside this drive's window, and the drive touches no state
+     * outside itself.
      */
     Ssd(const Config &cfg, core::Mechanism mech);
 

@@ -34,7 +34,7 @@ struct Rig {
     {
         Topology topo = Topology::compile(spec, drives);
         exec = std::make_unique<sim::ParallelExecutor>(
-            topo.minLinkLatency(), 1);
+            topo.minLinkLatency());
         const auto host_dom = exec->addDomain(hostQ);
         fab = std::make_unique<Fabric>(std::move(topo), *exec,
                                        host_dom, hostQ);

@@ -96,7 +96,7 @@ randomFilter(std::mt19937_64 &rng)
 /**
  * One random valid spec. Every constraint validate() enforces is
  * honoured by construction (raid5 needs >= 3 drives, failStop needs
- * a timeout, worker threads need a window, qdLimit <= queueDepth,
+ * a timeout, threads != 1 needs a window, qdLimit <= queueDepth,
  * ...), so build() accepting the result IS the property under test.
  */
 host::ScenarioSpec

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <thread>
 
 #include "host/scenario_spec.hh"
 
@@ -184,21 +183,19 @@ TEST(ScenarioSpec, RejectsSemanticConflicts)
     // drive count would otherwise silently run with 1 drive.
     expectRejects(R"({"drives": 4294967297, "tenants": [{}]})",
                   "scenario.drives: 4294967297 is out of range");
-    // The sharded engine needs a synchronization window: worker
-    // threads without a host link must be rejected, with the fix
-    // named.
+    // threads is a no-op kept for compatibility, but any value but 1
+    // still needs a host link or a fabric, with the fix named.
     expectRejects(R"({"threads": 4, "tenants": [{}]})",
                   "need host.hostLinkUs > 0");
-    // threads: 0 is "use hardware concurrency" — a multi-worker
-    // request, so it carries the same link requirement.
+    // threads: 0 carries the same link requirement.
     expectRejects(R"({"threads": 0, "tenants": [{}]})",
                   "need host.hostLinkUs > 0");
     expectRejects(
         R"({"host": {"hostLinkUs": -3}, "tenants": [{}]})",
         "host.hostLinkUs");
     // A sub-tick link would truncate to 0 ticks and silently fall
-    // back to the legacy engine (dropping the modelled turnaround
-    // AND the worker threads) — reject instead.
+    // back to the legacy engine (dropping the modelled turnaround)
+    // — reject instead.
     expectRejects(
         R"({"host": {"hostLinkUs": 0.0005}, "tenants": [{}]})",
         "rounds to zero simulator ticks");
@@ -371,15 +368,12 @@ TEST(ScenarioSpec, ShardedEngineFieldsReachTheConfig)
     const ScenarioSpec spec = fullSpec();
     const ScenarioConfig cfg =
         spec.toConfig(core::Mechanism::Baseline);
-    EXPECT_EQ(cfg.threads, 3u);
     EXPECT_DOUBLE_EQ(cfg.hostLinkUs, 12.5);
 }
 
-TEST(ScenarioSpec, ThreadsZeroIsHardwareConcurrencySugar)
+TEST(ScenarioSpec, ThreadsZeroRoundTrips)
 {
-    // The spec keeps the literal 0 (machine-independent on disk, so
-    // --dump-scenario round-trips it); only toConfig() resolves it
-    // to the machine's core count.
+    // The spec keeps the literal 0, so --dump-scenario round-trips it.
     ScenarioSpec spec = ScenarioSpec::fromJsonText(
         R"({"threads": 0,
             "host": {"hostLinkUs": 10},
@@ -391,12 +385,6 @@ TEST(ScenarioSpec, ThreadsZeroIsHardwareConcurrencySugar)
         ScenarioSpec::fromJsonText(spec.toJsonText());
     EXPECT_EQ(reparsed.threads, 0u);
     EXPECT_EQ(reparsed, spec);
-
-    const ScenarioConfig cfg =
-        spec.toConfig(core::Mechanism::Baseline);
-    const unsigned hw = std::thread::hardware_concurrency();
-    EXPECT_EQ(cfg.threads, hw != 0 ? hw : 1u);
-    EXPECT_GE(cfg.threads, 1u);
 }
 
 TEST(ScenarioSpec, FullChannelListIsNoRestriction)

@@ -1,14 +1,12 @@
 /**
  * @file
- * Cross-thread determinism: the sharded per-drive engine
- * (host::SsdArray with hostLink > 0, sim::ParallelExecutor) must
- * produce bit-identical results for every worker count — the same
+ * The spec's "threads" key is accepted for compatibility and must stay
+ * result-neutral: the sharded per-drive engine (host::SsdArray with
+ * hostLink > 0 or a fabric, sim::ParallelExecutor) must produce
+ * bit-identical results for every value of it — the same
  * RunStats (including p50/p99/p99.9), the same per-tenant latency
  * distributions, and the same arbitration accounting with threads=4
- * as with threads=1. This is the acceptance oracle for the parallel
- * engine: any causality leak across a window boundary, unordered
- * mailbox delivery, or shared mutable state between drives shows up
- * here as a field mismatch.
+ * as with threads=1.
  */
 
 #include <gtest/gtest.h>
@@ -185,12 +183,21 @@ fourDriveSpec()
         .build();
 }
 
+/** @p spec with its "threads" key set to @p threads (validated). */
+host::ScenarioSpec
+withThreads(host::ScenarioSpec spec, std::uint32_t threads)
+{
+    spec.threads = threads;
+    spec.validate();
+    return spec;
+}
+
 host::ScenarioResult
 runWithThreads(std::uint32_t threads, bool batch_mailbox = true)
 {
     host::ScenarioConfig cfg =
-        fourDriveSpec().toConfig(core::Mechanism::PnAR2);
-    cfg.threads = threads;
+        withThreads(fourDriveSpec(), threads).toConfig(
+            core::Mechanism::PnAR2);
     cfg.batchMailbox = batch_mailbox;
     return host::runScenario(cfg);
 }
@@ -211,8 +218,7 @@ TEST(ParallelDeterminism, TwoThreadsMatchOneBitForBit)
 
 TEST(ParallelDeterminism, OversubscribedThreadsMatch)
 {
-    // More workers than drives+host domains: the clamp must not
-    // change anything.
+    // More threads than drives+host domains.
     expectIdenticalResult(runWithThreads(1), runWithThreads(16));
 }
 
@@ -253,8 +259,8 @@ runRaid5Degraded(std::uint32_t threads)
             .qdLimit(8)
             .build();
     host::ScenarioConfig cfg =
-        spec.toConfig(core::Mechanism::PnAR2);
-    cfg.threads = threads;
+        withThreads(spec, threads).toConfig(
+            core::Mechanism::PnAR2);
     return host::runScenario(cfg);
 }
 
@@ -284,7 +290,7 @@ TEST(ParallelDeterminism, Raid5DegradedMatchesAcrossThreads)
  * host domain without ever crossing into a drive, prefetches are
  * chain-internal, split pieces rejoin across window boundaries. The
  * chain lives entirely on the host domain, so every counter and the
- * host-surface histogram must be bit-identical for any worker count.
+ * host-surface histogram must be bit-identical for any threads value.
  */
 host::ScenarioResult
 runFilterChain(std::uint32_t threads)
@@ -319,8 +325,8 @@ runFilterChain(std::uint32_t threads)
     b.tenant("kv", "YCSB-C", 250).qdLimit(8);
     b.tenant("log", "stg_0", 200).qdLimit(8);
     host::ScenarioConfig cfg =
-        b.build().toConfig(core::Mechanism::PnAR2);
-    cfg.threads = threads;
+        withThreads(b.build(), threads).toConfig(
+            core::Mechanism::PnAR2);
     return host::runScenario(cfg);
 }
 
@@ -386,8 +392,8 @@ runFaultTimeline(std::uint32_t threads)
             .qdLimit(8)
             .build();
     host::ScenarioConfig cfg =
-        spec.toConfig(core::Mechanism::PnAR2);
-    cfg.threads = threads;
+        withThreads(spec, threads).toConfig(
+            core::Mechanism::PnAR2);
     return host::runScenario(cfg);
 }
 
@@ -456,8 +462,9 @@ runFabric(std::uint32_t threads, bool batch_mailbox = true)
             .weight(1)
             .fabric(topo)
             .build();
-    host::ScenarioConfig cfg = spec.toConfig(core::Mechanism::PnAR2);
-    cfg.threads = threads;
+    host::ScenarioConfig cfg =
+        withThreads(spec, threads).toConfig(
+            core::Mechanism::PnAR2);
     cfg.batchMailbox = batch_mailbox;
     return host::runScenario(cfg);
 }
@@ -503,8 +510,8 @@ TEST(ParallelDeterminism, FabricPresetMatchesAcrossThreads)
                 .fabricPreset("tree:2x2")
                 .build();
         host::ScenarioConfig cfg =
-            spec.toConfig(core::Mechanism::Baseline);
-        cfg.threads = threads;
+            withThreads(spec, threads).toConfig(
+                core::Mechanism::Baseline);
         return host::runScenario(cfg);
     };
     const host::ScenarioResult one = run(1);
@@ -536,24 +543,21 @@ TEST(ParallelDeterminism, OpenLoopHorizonScenarioMatches)
                 .qdLimit(8)
                 .build();
         host::ScenarioConfig cfg =
-            spec.toConfig(core::Mechanism::Baseline);
-        cfg.threads = threads;
+            withThreads(spec, threads).toConfig(
+                core::Mechanism::Baseline);
         return host::runScenario(cfg);
     };
     expectIdenticalResult(run(1), run(4));
 }
 
 /**
- * Idle-window fast-forward and the parking handshake at scenario
- * scale: a single queue-depth-1 tenant leaves exactly one request in
- * flight, ping-ponging between the host domain and one drive, so
- * nearly every window has a lone active domain and fast-forwards
- * inline while the worker fleet stays parked. windowsRun and
- * windowsSkipped derive from queue state only and must be identical
- * at threads 1/2/4 — alongside the full simulation results — while
- * parks/spins are timing-dependent and deliberately unchecked. Under
- * the CI tsan job this doubles as the race probe for park/wake at
- * whole-scenario scale.
+ * Lone-domain windows at scenario scale: a single queue-depth-1
+ * tenant leaves exactly one request in flight, ping-ponging between
+ * the host domain and one drive, so nearly every window has a lone
+ * active domain. windowsRun and windowsSkipped derive from queue
+ * state only and must be identical at threads 1/2/4 — alongside the
+ * full simulation results — and the always-zero parks/spins fields
+ * must stay zero.
  */
 host::ScenarioResult
 runSparseQd1(std::uint32_t threads)
@@ -572,8 +576,9 @@ runSparseQd1(std::uint32_t threads)
             .tenant("lone", "usr_1", 200)
             .qdLimit(1)
             .build();
-    host::ScenarioConfig cfg = spec.toConfig(core::Mechanism::PnAR2);
-    cfg.threads = threads;
+    host::ScenarioConfig cfg =
+        withThreads(spec, threads).toConfig(
+            core::Mechanism::PnAR2);
     return host::runScenario(cfg);
 }
 
@@ -584,7 +589,7 @@ TEST(ParallelDeterminism, FastForwardCountersMatchAcrossThreads)
     // QD 1 means at most one domain has in-window work, so the
     // sparse path must actually engage or this test proves nothing.
     EXPECT_GT(one.array.executorWindowsSkipped, 0u);
-    // Single-thread runs have no worker pool and must never park.
+    // There is no worker pool to park or spin.
     EXPECT_EQ(one.array.executorParks, 0u);
     EXPECT_EQ(one.array.executorSpins, 0u);
     const host::ScenarioResult two = runSparseQd1(2);
@@ -592,10 +597,10 @@ TEST(ParallelDeterminism, FastForwardCountersMatchAcrossThreads)
     for (const host::ScenarioResult *r : {&two, &four}) {
         EXPECT_EQ(r->array.executorWindowsRun,
                   one.array.executorWindowsRun)
-            << "windowsRun must be worker-count-invariant";
+            << "windowsRun must not depend on threads";
         EXPECT_EQ(r->array.executorWindowsSkipped,
                   one.array.executorWindowsSkipped)
-            << "windowsSkipped must be worker-count-invariant";
+            << "windowsSkipped must not depend on threads";
     }
     {
         SCOPED_TRACE("threads 1 vs 2");
@@ -612,7 +617,7 @@ TEST(ParallelDeterminism, FastForwardCountersMatchAcrossThreads)
  * share a receiver and delivery tick into one heap event) is an
  * engine optimization, not a model change: with batching on — the
  * default — every statistic including executedEvents must match the
- * unbatched event stream bit for bit, at every worker count. This is
+ * unbatched event stream bit for bit, at every threads value. This is
  * the acceptance oracle for sim::ParallelExecutor's batched route().
  */
 TEST(ParallelDeterminism, DoorbellBatchingParityAcrossThreads)

@@ -3,14 +3,13 @@
  * Unit tests for the conservative time-window synchronizer: message
  * causality (nothing lands inside the window it was sent from),
  * deterministic mailbox ordering, clock alignment, idle-window
- * skipping, and bit-identical execution across worker counts on a
- * synthetic multi-domain workload.
+ * skipping and lone-domain window accounting, and doorbell batching.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <tuple>
+#include <memory>
 #include <vector>
 
 #include "sim/parallel_executor.hh"
@@ -35,7 +34,7 @@ struct Recorder {
 TEST(ParallelExecutor, DrainsLocalEventsAndAlignsClocks)
 {
     Recorder a, b;
-    ParallelExecutor exec(kWindow, 1);
+    ParallelExecutor exec(kWindow);
     exec.addDomain(a.q);
     exec.addDomain(b.q);
 
@@ -54,7 +53,7 @@ TEST(ParallelExecutor, DrainsLocalEventsAndAlignsClocks)
 TEST(ParallelExecutor, SkipsIdleGapsInsteadOfSteppingWindows)
 {
     Recorder a;
-    ParallelExecutor exec(kWindow, 1);
+    ParallelExecutor exec(kWindow);
     exec.addDomain(a.q);
     a.q.schedule(5, [&] { a.record(1); });
     a.q.schedule(1000000, [&] { a.record(2); });
@@ -67,7 +66,7 @@ TEST(ParallelExecutor, SkipsIdleGapsInsteadOfSteppingWindows)
 TEST(ParallelExecutor, MessagesCrossDomainsAtTheModelledLatency)
 {
     Recorder a, b;
-    ParallelExecutor exec(kWindow, 1);
+    ParallelExecutor exec(kWindow);
     const auto da = exec.addDomain(a.q);
     const auto db = exec.addDomain(b.q);
 
@@ -92,93 +91,31 @@ TEST(ParallelExecutor, SameTickDeliveriesOrderBySenderThenSendOrder)
 {
     // Three senders race messages to one receiver at a common
     // delivery tick; execution order must be (sender id, send
-    // order), never influenced by which worker ran which sender.
-    // The order log is appended only by the receiver's callbacks
-    // (one domain executes serially), so it captures the true
-    // delivery order without races.
-    for (unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE(threads);
-        Recorder recv;
-        std::vector<std::unique_ptr<Recorder>> senders;
-        std::vector<int> order;
-        ParallelExecutor exec(kWindow, threads);
-        const auto dr = exec.addDomain(recv.q);
-        std::vector<ParallelExecutor::DomainId> ds;
-        for (int s = 0; s < 3; ++s) {
-            senders.push_back(std::make_unique<Recorder>());
-            ds.push_back(exec.addDomain(senders.back()->q));
-        }
-        for (int s = 2; s >= 0; --s) { // registration order != send order
-            Recorder &sd = *senders[s];
-            const auto dom = ds[s];
-            sd.q.schedule(10, [&exec, &sd, &order, dom, dr, s] {
-                for (int k = 0; k < 2; ++k)
-                    exec.send(dom, dr, sd.q.now() + kWindow,
-                              [&order, s, k] {
-                                  order.push_back(10 * s + k);
-                              });
-            });
-        }
-        exec.run();
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
-        EXPECT_EQ(recv.q.executedEvents(), 6u);
+    // order), never the order the senders were scheduled in.
+    Recorder recv;
+    std::vector<std::unique_ptr<Recorder>> senders;
+    std::vector<int> order;
+    ParallelExecutor exec(kWindow);
+    const auto dr = exec.addDomain(recv.q);
+    std::vector<ParallelExecutor::DomainId> ds;
+    for (int s = 0; s < 3; ++s) {
+        senders.push_back(std::make_unique<Recorder>());
+        ds.push_back(exec.addDomain(senders.back()->q));
     }
-}
-
-TEST(ParallelExecutor, WorkerCountDoesNotChangeExecution)
-{
-    // A synthetic token-passing workload dense enough to span many
-    // windows: domain i, on receiving a token, does local work (two
-    // self-events) and forwards the token to (i + 1) % N a window
-    // later. The full per-domain logs must match across worker
-    // counts.
-    auto run = [](unsigned threads) {
-        constexpr int kDomains = 5;
-        std::vector<std::unique_ptr<Recorder>> doms;
-        ParallelExecutor exec(kWindow, threads);
-        std::vector<ParallelExecutor::DomainId> ids;
-        for (int i = 0; i < kDomains; ++i) {
-            doms.push_back(std::make_unique<Recorder>());
-            ids.push_back(exec.addDomain(doms.back()->q));
-        }
-        struct Ctx {
-            ParallelExecutor *exec;
-            std::vector<std::unique_ptr<Recorder>> *doms;
-            std::vector<ParallelExecutor::DomainId> *ids;
-            int hops = 0;
-        } ctx{&exec, &doms, &ids, 0};
-
-        // Token handler: local work then forward until 200 hops.
-        std::function<void(int)> hop = [&ctx, &hop](int i) {
-            Recorder &r = *(*ctx.doms)[i];
-            r.record(1000 + i);
-            r.q.scheduleAfter(7, [&r, i] { r.record(2000 + i); });
-            r.q.scheduleAfter(13, [&r, i] { r.record(3000 + i); });
-            if (++ctx.hops >= 200)
-                return;
-            const int n = (i + 1) % static_cast<int>(ctx.doms->size());
-            ctx.exec->send((*ctx.ids)[i], (*ctx.ids)[n],
-                           r.q.now() + kWindow, [&hop, n] { hop(n); });
-        };
-        doms[0]->q.schedule(1, [&hop] { hop(0); });
-        exec.run();
-
-        std::vector<std::vector<std::pair<Tick, int>>> logs;
-        for (auto &d : doms)
-            logs.push_back(d->log);
-        return logs;
-    };
-
-    const auto one = run(1);
-    const auto two = run(2);
-    const auto many = run(8);
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, many);
-    // Sanity: the token actually circulated.
-    std::size_t total = 0;
-    for (const auto &l : one)
-        total += l.size();
-    EXPECT_EQ(total, 600u); // 200 hops x 3 records
+    for (int s = 2; s >= 0; --s) { // registration order != send order
+        Recorder &sd = *senders[s];
+        const auto dom = ds[s];
+        sd.q.schedule(10, [&exec, &sd, &order, dom, dr, s] {
+            for (int k = 0; k < 2; ++k)
+                exec.send(dom, dr, sd.q.now() + kWindow,
+                          [&order, s, k] {
+                              order.push_back(10 * s + k);
+                          });
+        });
+    }
+    exec.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
+    EXPECT_EQ(recv.q.executedEvents(), 6u);
 }
 
 TEST(ParallelExecutor, DoorbellBatchingIsBitIdenticalAndEngages)
@@ -200,7 +137,7 @@ TEST(ParallelExecutor, DoorbellBatchingIsBitIdenticalAndEngages)
         Outcome out;
         Recorder recv;
         std::vector<std::unique_ptr<Recorder>> senders;
-        ParallelExecutor exec(kWindow, 2, batch);
+        ParallelExecutor exec(kWindow, batch);
         const auto dr = exec.addDomain(recv.q);
         std::vector<ParallelExecutor::DomainId> ds;
         for (int s = 0; s < 3; ++s) {
@@ -248,132 +185,75 @@ TEST(ParallelExecutor, DoorbellBatchingIsBitIdenticalAndEngages)
 TEST(ParallelExecutor, FastForwardRunsLoneDomainWindowsInline)
 {
     // A strict ping-pong leaves exactly one domain with in-window
-    // work at every step — the shape idle-window fast-forward exists
-    // for. The skip decision derives from queue state only, so the
-    // logs AND the windowsRun/windowsSkipped counters must be
-    // identical at every worker count; parks/spins are timing-
-    // dependent and deliberately unchecked.
-    struct Outcome {
-        std::vector<std::pair<Tick, int>> log_a, log_b;
-        std::uint64_t windows = 0;
-        std::uint64_t skipped = 0;
+    // work at every step, so every window counts as skipped.
+    Recorder a, b;
+    ParallelExecutor exec(kWindow);
+    const auto da = exec.addDomain(a.q);
+    const auto db = exec.addDomain(b.q);
+    struct Ctx {
+        ParallelExecutor *exec;
+        Recorder *a, *b;
+        ParallelExecutor::DomainId da, db;
+        int hops = 0;
+    } ctx{&exec, &a, &b, da, db, 0};
+    std::function<void(bool)> hop = [&ctx, &hop](bool at_a) {
+        Recorder &r = at_a ? *ctx.a : *ctx.b;
+        r.record(at_a ? 1 : 2);
+        if (++ctx.hops >= 40)
+            return;
+        ctx.exec->send(at_a ? ctx.da : ctx.db, at_a ? ctx.db : ctx.da,
+                       r.q.now() + kWindow,
+                       [&hop, at_a] { hop(!at_a); });
     };
-    auto run = [](unsigned threads) {
-        Outcome out;
-        Recorder a, b;
-        ParallelExecutor exec(kWindow, threads);
-        const auto da = exec.addDomain(a.q);
-        const auto db = exec.addDomain(b.q);
-        struct Ctx {
-            ParallelExecutor *exec;
-            Recorder *a, *b;
-            ParallelExecutor::DomainId da, db;
-            int hops = 0;
-        } ctx{&exec, &a, &b, da, db, 0};
-        std::function<void(bool)> hop = [&ctx, &hop](bool at_a) {
-            Recorder &r = at_a ? *ctx.a : *ctx.b;
-            r.record(at_a ? 1 : 2);
-            if (++ctx.hops >= 40)
-                return;
-            ctx.exec->send(at_a ? ctx.da : ctx.db,
-                           at_a ? ctx.db : ctx.da,
-                           r.q.now() + kWindow,
-                           [&hop, at_a] { hop(!at_a); });
-        };
-        a.q.schedule(1, [&hop] { hop(true); });
-        exec.run();
-        out.log_a = a.log;
-        out.log_b = b.log;
-        out.windows = exec.windowsRun();
-        out.skipped = exec.windowsSkipped();
-        return out;
-    };
+    a.q.schedule(1, [&hop] { hop(true); });
+    exec.run();
 
-    const Outcome one = run(1);
-    EXPECT_EQ(one.log_a.size() + one.log_b.size(), 40u);
-    // Every window of a ping-pong has a lone active domain.
-    EXPECT_GT(one.skipped, 0u);
-    EXPECT_EQ(one.skipped, one.windows);
-    for (unsigned threads : {2u, 4u}) {
-        SCOPED_TRACE(threads);
-        const Outcome n = run(threads);
-        EXPECT_EQ(n.log_a, one.log_a);
-        EXPECT_EQ(n.log_b, one.log_b);
-        EXPECT_EQ(n.windows, one.windows);
-        EXPECT_EQ(n.skipped, one.skipped);
-    }
+    EXPECT_EQ(a.log.size() + b.log.size(), 40u);
+    EXPECT_GT(exec.windowsSkipped(), 0u);
+    EXPECT_EQ(exec.windowsSkipped(), exec.windowsRun());
 }
 
-TEST(ParallelExecutor, ParkingCountersAccountSingleThreadAsZero)
+TEST(ParallelExecutor, SparseAndDensePhasesCountWindowsByActiveDomains)
 {
-    // With no worker pool there is no handshake to wait on: the
-    // parking counters must stay exactly zero (they feed the bench
-    // JSON, where a nonzero single-thread park count would be a
-    // bug), and dense multi-domain work must still complete.
-    Recorder a, b, c;
-    ParallelExecutor exec(kWindow, 1);
+    // Alternating dense (both domains active) and sparse (a lone
+    // domain, far apart) phases: only the sparse windows count as
+    // skipped.
+    Recorder a, b;
+    ParallelExecutor exec(kWindow);
     exec.addDomain(a.q);
     exec.addDomain(b.q);
-    exec.addDomain(c.q);
-    for (Tick t = 1; t <= 5 * kWindow; t += 7) {
-        a.q.schedule(t, [&] { a.record(1); });
-        b.q.schedule(t, [&] { b.record(2); });
-        c.q.schedule(t, [&] { c.record(3); });
+    Tick t = 1;
+    std::size_t dense_events = 0;
+    for (int phase = 0; phase < 6; ++phase) {
+        if (phase % 2 == 0) {
+            for (Tick d = 0; d < 3 * kWindow; d += 11) {
+                a.q.schedule(t + d, [&a] { a.record(1); });
+                b.q.schedule(t + d, [&b] { b.record(2); });
+                ++dense_events;
+            }
+            t += 3 * kWindow;
+        } else {
+            // Spaced a long gap from each other and from the dense
+            // phases on either side.
+            for (int i = 0; i < 4; ++i) {
+                t += 20 * kWindow;
+                a.q.schedule(t, [&a] { a.record(3); });
+            }
+            t += 20 * kWindow;
+        }
     }
     exec.run();
-    EXPECT_EQ(exec.parks(), 0u);
-    EXPECT_EQ(exec.spins(), 0u);
-    EXPECT_GT(exec.windowsRun(), 0u);
-    EXPECT_EQ(a.log.size(), b.log.size());
-}
-
-TEST(ParallelExecutor, ParkedWorkersSurviveSparseThenDensePhases)
-{
-    // Alternating dense (all domains active -> full handshake) and
-    // sparse (lone domain -> fast-forward, fleet stays parked)
-    // phases: workers must wake correctly after arbitrarily long
-    // parked stretches, and the results must not depend on the
-    // worker count. Run under tsan in CI, this is the lost-wakeup
-    // and data-race probe for the park/wake handshake.
-    auto run = [](unsigned threads) {
-        Recorder a, b;
-        ParallelExecutor exec(kWindow, threads);
-        exec.addDomain(a.q);
-        exec.addDomain(b.q);
-        Tick t = 1;
-        for (int phase = 0; phase < 6; ++phase) {
-            if (phase % 2 == 0) {
-                // Dense: both domains busy for a few windows.
-                for (Tick d = 0; d < 3 * kWindow; d += 11) {
-                    a.q.schedule(t + d, [&a] { a.record(1); });
-                    b.q.schedule(t + d, [&b] { b.record(2); });
-                }
-                t += 3 * kWindow;
-            } else {
-                // Sparse: a lone domain, far apart — fast-forwarded
-                // windows during which the fleet parks.
-                for (int i = 0; i < 4; ++i) {
-                    a.q.schedule(t, [&a] { a.record(3); });
-                    t += 20 * kWindow;
-                }
-            }
-        }
-        exec.run();
-        return std::make_tuple(a.log, b.log, exec.windowsRun(),
-                               exec.windowsSkipped());
-    };
-    const auto one = run(1);
-    EXPECT_GT(std::get<3>(one), 0u);
-    const auto two = run(2);
-    const auto four = run(4);
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, four);
+    EXPECT_EQ(a.log.size(), dense_events + 12);
+    EXPECT_EQ(b.log.size(), dense_events);
+    // 3 sparse phases x 4 lone events, each in its own window.
+    EXPECT_EQ(exec.windowsSkipped(), 12u);
+    EXPECT_GT(exec.windowsRun(), exec.windowsSkipped());
 }
 
 TEST(ParallelExecutor, RunCanBeCalledAgainAfterNewWork)
 {
     Recorder a;
-    ParallelExecutor exec(kWindow, 2);
+    ParallelExecutor exec(kWindow);
     exec.addDomain(a.q);
     a.q.schedule(10, [&] { a.record(1); });
     exec.run();

@@ -1,9 +1,10 @@
 /**
  * @file
  * Golden digests of Ssd::replay: every RunStats field Ssd::stats()
- * fills, for six mechanisms, over a short Table-2 trace and a
- * hand-built out-of-order trace. A change to how replay feeds
- * arrivals into the event queue must leave these bit-identical.
+ * fills, for six mechanisms, over a short Table-2 trace, hand-built
+ * and dense out-of-order traces, and a trace whose arrivals land on
+ * completion ticks. A change to how replay feeds arrivals into the
+ * event queue must leave these bit-identical.
  *
  * The values were captured from the eager replay loop (every arrival
  * burst scheduled before the first event runs); the out-of-order
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -196,6 +198,90 @@ TEST(ReplayGolden, OutOfOrderTraceAllMechanisms)
             fnv.add(v);
     }
     EXPECT_EQ(fnv.value(), 0xaefd889a658adfe0ull) << std::hex << "0x" << fnv.value();
+}
+
+/**
+ * Reads and writes crowded onto a few LPNs, so dies hold queued writes
+ * and suspended programs whenever a read releases them.
+ */
+std::vector<workload::TraceRecord>
+contendedRecords()
+{
+    sim::Rng rng(0xC0FFEEull);
+    std::vector<workload::TraceRecord> records;
+    for (int i = 0; i < 400; ++i) {
+        workload::TraceRecord rec;
+        rec.arrival = sim::usec(static_cast<double>(rng.uniformInt(4000)));
+        rec.lpn = rng.uniformInt(32);
+        rec.pages = 1;
+        rec.isRead = rng.uniform() < 0.5;
+        records.push_back(rec);
+    }
+    return records;
+}
+
+/**
+ * Arrivals that land exactly on completion ticks. A first replay of
+ * the contended trace yields every request's completion tick; the
+ * digested trace adds, at each such tick, a one-page read of the
+ * completed request's first LPN, so the probe meets its die at the
+ * moment a read or program releases it (a write completes at its
+ * program end, a pipelined read at its die release). An arrival keeps
+ * the sequence number eager scheduling drew before any internal
+ * event, so it runs ahead of a completion or die release at the same
+ * tick; giving it a fresh number when it is injected would run it
+ * after, change which transaction the die takes next, and move this
+ * digest.
+ */
+TEST(ReplayGolden, ArrivalsOnCompletionTicksAllMechanisms)
+{
+    const std::vector<workload::TraceRecord> base = contendedRecords();
+    Fnv fnv;
+    for (core::Mechanism m : kMechanisms) {
+        std::vector<workload::TraceRecord> records = base;
+        {
+            Ssd ssd(agedConfig(), m);
+            ssd.onHostComplete([&](const HostCompletion &c) {
+                const workload::TraceRecord &done = base[c.id - 1];
+                workload::TraceRecord probe;
+                // Rebase: replay offsets arrivals by the clock at
+                // its start.
+                probe.arrival = c.finish - (c.arrival - done.arrival);
+                probe.lpn = done.lpn;
+                probe.pages = 1;
+                probe.isRead = true;
+                records.push_back(probe);
+            });
+            ssd.replay(base);
+        }
+        ASSERT_EQ(records.size(), 2 * base.size());
+
+        Ssd ssd(agedConfig(), m);
+        std::vector<sim::Tick> base_finish;
+        std::vector<std::uint64_t> completions;
+        sim::Tick offset = 0; // the replay's rebase
+        ssd.onHostComplete([&](const HostCompletion &c) {
+            offset = c.arrival - records[c.id - 1].arrival;
+            if (c.id <= base.size())
+                base_finish.push_back(c.finish);
+            completions.push_back(c.id);
+            completions.push_back(c.finish);
+        });
+        fnv.add(ssd.replay(records));
+        for (std::uint64_t v : completions)
+            fnv.add(v);
+
+        // The trace must do what it claims: probes that share a tick
+        // with a completion of the digested run.
+        std::sort(base_finish.begin(), base_finish.end());
+        std::size_t coincident = 0;
+        for (std::size_t i = base.size(); i < records.size(); ++i)
+            coincident += std::binary_search(base_finish.begin(),
+                                             base_finish.end(),
+                                             records[i].arrival + offset);
+        EXPECT_GT(coincident, base.size() / 20) << core::name(m);
+    }
+    EXPECT_EQ(fnv.value(), 0x27fb3413925b2200ull) << std::hex << "0x" << fnv.value();
 }
 
 } // namespace

@@ -92,17 +92,15 @@
  *                                describe (or a canonicalized
  *                                --scenario file) as JSON and exit
  *
- * Execution (allowed with either mode; never changes results):
- *     --threads N                worker threads for the sharded
- *                                per-drive engine (default 1; 0 =
- *                                use the machine's hardware
- *                                concurrency; anything but 1 needs
- *                                a positive host link —
- *                                --host-link-us or the scenario's
- *                                host.hostLinkUs). Overrides a
- *                                scenario file's "threads" field.
- *                                Results are bit-identical for every
- *                                N.
+ * Compatibility (allowed with either mode; no effect):
+ *     --threads N                accepted for compatibility; starts
+ *                                no threads and never changes
+ *                                results. Overrides a scenario
+ *                                file's "threads" field, and like it
+ *                                needs a positive host link
+ *                                (--host-link-us or the scenario's
+ *                                host.hostLinkUs) or a fabric for
+ *                                any N but 1.
  *
  * A legacy multi-tenant invocation is sugar for a scenario: the
  * flags build a ScenarioSpec internally, so `--dump-scenario`'s JSON
@@ -437,9 +435,9 @@ parseArgs(int argc, char **argv)
             opt.hostFlags.push_back(arg);
             legacy();
         } else if (arg == "--threads") {
-            // An execution knob, not a scenario property: legal with
-            // --scenario too (it overrides the file's "threads") and
-            // never changes simulation results.
+            // A compatibility knob, not a scenario property: legal
+            // with --scenario too (it overrides the file's "threads")
+            // and never changes simulation results.
             opt.threads = parseUint32(arg, next());
             opt.threadsSet = true;
         } else if (arg == "--scenario") {
@@ -504,8 +502,6 @@ benchRunFrom(const std::string &name, const ssd::RunStats &st,
     run.avgFabricWaitUs = st.avgFabricWaitUs;
     run.windowsRun = st.executorWindowsRun;
     run.windowsSkipped = st.executorWindowsSkipped;
-    run.parks = st.executorParks;
-    run.spins = st.executorSpins;
     for (const ssd::RunStats::FabricLinkStats &l : st.fabricLinks) {
         run.fabricBusyUs += l.busyUs;
         run.fabricBytes += l.bytesCarried;
@@ -841,14 +837,13 @@ validateLegacyFlags(const Options &opt)
             flagError("--fabric",
                       "cannot be combined with --host-link-us (the "
                       "fabric's links replace the flat host link)");
-        // 0 is "use hardware concurrency" sugar; like any
-        // multi-worker request it needs a window to parallelize over.
+        // Mirrors the spec's "threads" rule (ScenarioSpec::validate).
         if (opt.threads != 1 && opt.hostLinkUs <= 0.0 &&
             opt.fabricPreset.empty())
             flagError("--threads",
-                      "worker threads need --host-link-us > 0 or a "
-                      "--fabric (the parallel engine synchronizes "
-                      "drives at link turnaround windows)");
+                      "accepted for compatibility (it starts no "
+                      "threads), but values other than 1 need "
+                      "--host-link-us > 0 or a --fabric");
     } else if (opt.threadsSet && opt.scenarioPath.empty()) {
         flagError("--threads", "requires --tenants or --scenario");
     } else if (!opt.hostFlags.empty()) {
@@ -886,7 +881,7 @@ realMain(int argc, char **argv)
             spec = host::ScenarioSpec::loadFile(opt.scenarioPath);
             if (opt.threadsSet) {
                 spec.threads = opt.threads;
-                spec.validate(); // threads > 1 still needs a link
+                spec.validate(); // threads != 1 still needs a link
             }
         } catch (const host::SpecError &e) {
             std::fprintf(stderr, "ssdrr_sim: --scenario: %s\n",
