@@ -24,14 +24,8 @@ averageCompletionUs(const nand::ErrorModel &model,
                     double accuracy, const core::PredictiveConfig &cfg,
                     std::uint64_t *mispred = nullptr)
 {
-    // Predictor and planner both consult the page profile per read;
-    // share one memoization cache between them (plans and
-    // predictions are bit-identical with or without it).
-    nand::PageProfileCache cache(model);
     core::ErrorPredictor pred(model, accuracy);
-    pred.attachProfileCache(&cache);
     core::PredictiveController pc(timing, model, rpt, pred, cfg);
-    pc.attachProfileCache(&cache);
     double sum = 0.0;
     const int pages = 3000;
     for (int p = 0; p < pages; ++p) {

@@ -11,8 +11,7 @@
  *
  * A second section (par4d) measures the sharded per-drive engine: a
  * 4-drive saturation scenario (8 closed-loop tenants, 32 device slots
- * per drive, 50 us host link, profile cache disabled so every read
- * pays the full model math).
+ * per drive, 50 us host link).
  *
  * Four more sections ride along: raid5-* (degraded-read
  * reconstruction, healthy vs one failed drive), cached-* (the
@@ -110,8 +109,6 @@ measureScenario(const std::string &name, const MakeConfig &make_config,
     run.p50ReadUs = a.p50ReadResponseUs;
     run.p99ReadUs = a.p99ReadResponseUs;
     run.p999ReadUs = a.p999ReadResponseUs;
-    run.profileCacheHits = a.profileCacheHits;
-    run.profileCacheMisses = a.profileCacheMisses;
     run.degradedReads = a.degradedReads;
     run.reconstructionReads = a.reconstructionReads;
     run.parityWrites = a.parityWrites;
@@ -183,12 +180,7 @@ parallelScenario(std::uint64_t requests_per_tenant)
                  requests_per_tenant)
             .qdLimit(32);
     }
-    host::ScenarioConfig cfg =
-        b.build().toConfig(core::Mechanism::PnAR2);
-    // Full model math on every read (no profile memoization): the
-    // representative worst case for CPU-bound sweeps.
-    cfg.ssd.profileCacheSlots = 0;
-    return cfg;
+    return b.build().toConfig(core::Mechanism::PnAR2);
 }
 
 sim::BenchRun
@@ -496,7 +488,7 @@ main(int argc, char **argv)
         "retention); par4d: 8 closed-loop tenants x " +
         std::to_string(par_per_tenant) +
         " usr_1/YCSB-C reqs, QD 32, 4-drive array, 50 us host link, "
-        "profile cache off, PnAR2; raid5-*: "
+        "PnAR2; raid5-*: "
         "4 closed-loop tenants x " +
         std::to_string(r5_per_tenant) +
         " usr_1 reqs, QD 16, 4-drive raid5 (unit 4), 2K P/E + "
@@ -517,25 +509,18 @@ main(int argc, char **argv)
         "oversubscribed uplinks";
 
     std::printf("sim_throughput — %s\n\n", label.c_str());
-    std::printf("%-10s %12s %14s %12s %12s %10s\n", "mechanism",
-                "wall[s]", "events/s", "reads/s", "events",
-                "cache-hit%");
+    std::printf("%-10s %12s %14s %12s %12s\n", "mechanism", "wall[s]",
+                "events/s", "reads/s", "events");
 
     std::vector<sim::BenchRun> runs;
     for (core::Mechanism m :
          {core::Mechanism::Baseline, core::Mechanism::PnAR2}) {
         runs.push_back(measure(m, per_tenant, repeat));
         const sim::BenchRun &r = runs.back();
-        const std::uint64_t lookups =
-            r.profileCacheHits + r.profileCacheMisses;
-        std::printf("%-10s %12.3f %14.0f %12.0f %12llu %9.1f%%\n",
+        std::printf("%-10s %12.3f %14.0f %12.0f %12llu\n",
                     r.name.c_str(), r.wallSeconds, r.eventsPerSecond,
                     r.readsPerSecond,
-                    static_cast<unsigned long long>(r.executedEvents),
-                    lookups ? 100.0 *
-                                  static_cast<double>(r.profileCacheHits) /
-                                  static_cast<double>(lookups)
-                            : 0.0);
+                    static_cast<unsigned long long>(r.executedEvents));
     }
 
     // The golden digest covers exactly these single-queue runs.
@@ -543,8 +528,7 @@ main(int argc, char **argv)
 
     // ----- sharded per-drive engine: 4 drives -----
     std::printf("\nparallel array — 8 closed-loop tenants x %llu reqs, "
-                "QD 32, 4-drive array, 50 us host link, profile "
-                "cache off, PnAR2\n",
+                "QD 32, 4-drive array, 50 us host link, PnAR2\n",
                 static_cast<unsigned long long>(par_per_tenant));
     std::printf("%-10s %12s %14s %12s %12s\n", "config", "wall[s]",
                 "events/s", "reads/s", "events");

@@ -20,8 +20,7 @@ ErrorPredictor::predict(std::uint64_t chip, std::uint64_t block,
                         const nand::OperatingPoint &op) const
 {
     const nand::PageErrorProfile prof =
-        cache_ ? cache_->get(chip, block, page, op)
-               : model_.pageProfile(chip, block, page, op);
+        model_.pageProfile(chip, block, page, op);
 
     ErrorPrediction pred;
     pred.willRetry = prof.retrySteps > 0;
@@ -104,8 +103,7 @@ PredictiveController::planRead(sim::Tick start, nand::PageType type,
                                ssd::Channel &ch, ecc::EccEngine &ecc) const
 {
     const nand::PageErrorProfile prof =
-        cache_ ? cache_->get(chip, block, page, op)
-               : model_.pageProfile(chip, block, page, op);
+        model_.pageProfile(chip, block, page, op);
     const ErrorPrediction pred =
         predictor_.predict(chip, block, page, op);
 

@@ -31,7 +31,6 @@
 #include "core/rpt.hh"
 #include "ecc/engine.hh"
 #include "nand/error_model.hh"
-#include "nand/page_profile_cache.hh"
 #include "sim/rng.hh"
 #include "ssd/channel.hh"
 
@@ -61,16 +60,6 @@ class ErrorPredictor
 
     double accuracy() const { return accuracy_; }
 
-    /**
-     * Route profile computations through @p cache (the SSD's
-     * page-profile cache). Predictions are unchanged; only the
-     * recomputation cost disappears.
-     */
-    void attachProfileCache(nand::PageProfileCache *cache)
-    {
-        cache_ = cache;
-    }
-
     ErrorPrediction predict(std::uint64_t chip, std::uint64_t block,
                             std::uint64_t page,
                             const nand::OperatingPoint &op) const;
@@ -79,7 +68,6 @@ class ErrorPredictor
     const nand::ErrorModel &model_;
     double accuracy_;
     std::uint64_t seed_;
-    nand::PageProfileCache *cache_ = nullptr;
 };
 
 /** Extension toggles for PredictiveController. */
@@ -123,12 +111,6 @@ class PredictiveController
     /** Regular reads performed with reduced timing. */
     std::uint64_t reducedRegularCount() const { return reduced_regular_; }
 
-    /** Route profile computations through the SSD's profile cache. */
-    void attachProfileCache(nand::PageProfileCache *cache)
-    {
-        cache_ = cache;
-    }
-
   private:
     ReadPlan planSpeculativeWalk(sim::Tick start, sim::Tick s_red,
                                  sim::Tick s_def, int n_red,
@@ -141,7 +123,6 @@ class PredictiveController
     const ErrorPredictor &predictor_;
     RetryController pnar2_;
     PredictiveConfig cfg_;
-    nand::PageProfileCache *cache_ = nullptr;
     mutable std::uint64_t mispredictions_ = 0;
     mutable std::uint64_t spec_starts_ = 0;
     mutable std::uint64_t reduced_regular_ = 0;

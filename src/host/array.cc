@@ -494,8 +494,6 @@ SsdArray::stats() const
         s.timingFallbacks += ds.timingFallbacks;
         s.readFailures += ds.readFailures;
         s.refreshes += ds.refreshes;
-        s.profileCacheHits += ds.profileCacheHits;
-        s.profileCacheMisses += ds.profileCacheMisses;
         // Pooled mean over every retry sample (host + GC reads):
         // weight each drive's mean by its own sample count.
         s.avgRetrySteps +=

@@ -31,12 +31,23 @@ ErrorModel::ErrorModel(Calibration cal, std::uint64_t seed)
 }
 
 double
+ErrorModel::retentionTerm(const OperatingPoint &op) const
+{
+    return std::log1p(op.retentionMonths / cal_.nTau);
+}
+
+double
+ErrorModel::meanRetrySteps(const OperatingPoint &op, double ret) const
+{
+    return cal_.nRet * ret * (1.0 + cal_.nPeCoup * op.peKilo) +
+           cal_.nPe * op.peKilo;
+}
+
+double
 ErrorModel::meanRetrySteps(const OperatingPoint &op) const
 {
     checkOp(op);
-    const double ret = std::log1p(op.retentionMonths / cal_.nTau);
-    return cal_.nRet * ret * (1.0 + cal_.nPeCoup * op.peKilo) +
-           cal_.nPe * op.peKilo;
+    return meanRetrySteps(op, retentionTerm(op));
 }
 
 double
@@ -60,12 +71,17 @@ ErrorModel::temperaturePenalty(double d, double temp_c) const
 }
 
 double
+ErrorModel::finalErrorsMax(const OperatingPoint &op, double ret) const
+{
+    return cal_.mBase + cal_.mPe * op.peKilo + cal_.mRet * ret +
+           temperatureAdder(op.temperatureC);
+}
+
+double
 ErrorModel::finalErrorsMax(const OperatingPoint &op) const
 {
     checkOp(op);
-    const double ret = std::log1p(op.retentionMonths / cal_.nTau);
-    return cal_.mBase + cal_.mPe * op.peKilo + cal_.mRet * ret +
-           temperatureAdder(op.temperatureC);
+    return finalErrorsMax(op, retentionTerm(op));
 }
 
 double
@@ -83,7 +99,7 @@ ErrorModel::eccMargin(const OperatingPoint &op) const
 double
 ErrorModel::conditionScale(const OperatingPoint &op) const
 {
-    const double ret = std::log1p(op.retentionMonths / cal_.nTau);
+    const double ret = retentionTerm(op);
     return (1.0 + cal_.gPe * op.peKilo) * (1.0 + cal_.gRet * ret);
 }
 
@@ -158,13 +174,18 @@ ErrorModel::pageProfile(std::uint64_t chip, std::uint64_t block,
 
     PageErrorProfile prof;
 
-    const double n_mean = meanRetrySteps(op);
+    // Every read computes a profile, so the population surfaces share
+    // one checkOp(), one retention term and one M_ERR; the expressions
+    // and operand order are those of meanRetrySteps(),
+    // finalErrorsMax() and finalErrorsMean(), so the bits match.
+    const double ret = retentionTerm(op);
+    const double n_mean = meanRetrySteps(op, ret);
     double n = n_mean * n_var + jitter;
     prof.retrySteps = std::clamp(static_cast<int>(std::lround(n)), 0,
                                  cal_.retryTableSteps);
 
-    const double e_max = finalErrorsMax(op);
-    double e = finalErrorsMean(op) * e_var;
+    const double e_max = finalErrorsMax(op, ret);
+    double e = cal_.mMeanFrac * e_max * e_var;
     prof.finalErrors = std::clamp(e, 0.5, e_max);
 
     // Enforce the Fig. 4b invariant against the chip's design-point

@@ -133,6 +133,12 @@ class ErrorModel
                              double capability = -1.0) const;
 
   private:
+    /** Retention term log1p(t / tau) shared by the surfaces. */
+    double retentionTerm(const OperatingPoint &op) const;
+    /** meanRetrySteps()/finalErrorsMax() given a checked @p op and
+     *  its retentionTerm() @p ret. */
+    double meanRetrySteps(const OperatingPoint &op, double ret) const;
+    double finalErrorsMax(const OperatingPoint &op, double ret) const;
     /** Condition scaling factor g(op) for timing-reduction errors. */
     double conditionScale(const OperatingPoint &op) const;
     /** Extra timing-reduction errors at @p temp_c given dM = @p d. */

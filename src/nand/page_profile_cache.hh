@@ -2,16 +2,14 @@
  * @file
  * Memoization cache in front of ErrorModel::pageProfile.
  *
- * pageProfile() is pure but expensive: a hash-stream seed, two
- * log-normal draws (four transcendental calls via Box-Muller), a
- * normal draw, and the memoized default retry walk. That walk costs
- * two pow() calls in the usual case (step N_RR - 1 fails, as the
- * Fig. 4b guard makes it at the design-point capability, and step
- * N_RR succeeds), since the walk starts at N_RR; otherwise it walks
- * from step 0. The SSD layer calls it once per read transaction, and
- * real workloads re-read hot pages constantly, so an open-addressing
- * cache keyed by the packed (chip, block, page) coordinates removes
- * the recomputation from the read hot path.
+ * No simulator path uses it: ssd::Ssd and the Section 8 predictive
+ * planner call pageProfile() directly on every read. On the usr_1
+ * and RAID workloads the cache missed 83-94% of lookups (footprints
+ * far beyond its slots, and a rewritten page's retention age moves
+ * every tick), and a miss costs as much as the recompute it was
+ * meant to save. The class is kept only for perfbench's isolated
+ * layer replay (nand.profile_get_ns / nand.profile_hit_ratio), and
+ * goes with those rows.
  *
  * Correctness does not depend on invalidation: every entry stores
  * the OperatingPoint it was computed at, and a lookup whose op

@@ -112,10 +112,6 @@ writeBenchJson(const std::string &path, const std::string &label,
         f << "      \"p50_read_us\": " << fixed3(r.p50ReadUs) << ",\n";
         f << "      \"p99_read_us\": " << fixed3(r.p99ReadUs) << ",\n";
         f << "      \"p999_read_us\": " << fixed3(r.p999ReadUs) << ",\n";
-        f << "      \"profile_cache_hits\": " << r.profileCacheHits
-          << ",\n";
-        f << "      \"profile_cache_misses\": " << r.profileCacheMisses
-          << ",\n";
         f << "      \"degraded_reads\": " << r.degradedReads << ",\n";
         f << "      \"reconstruction_reads\": "
           << r.reconstructionReads << ",\n";

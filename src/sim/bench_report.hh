@@ -43,11 +43,6 @@ struct BenchRun {
     double p50ReadUs = 0.0;
     double p99ReadUs = 0.0;
     double p999ReadUs = 0.0;
-    // ----- cache effectiveness (informational, not digested: the
-    // hit ratio may legitimately change with cache tuning while the
-    // simulation results stay identical) -----
-    std::uint64_t profileCacheHits = 0;
-    std::uint64_t profileCacheMisses = 0;
     // ----- array-layout accounting (informational, not digested:
     // zero outside the RAID-5 sections, and the golden digest
     // predates them) -----

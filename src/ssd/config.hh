@@ -58,9 +58,10 @@ struct Config {
     double refreshThresholdMonths = 0.0;
 
     /**
-     * Page-profile cache slots (rounded up to a power of two; 0
-     * disables caching). Memoizes ErrorModel::pageProfile on the
-     * read path; results are bit-identical with the cache on or off.
+     * Slot count of a nand::PageProfileCache. The drive no longer
+     * has one (each read computes its page profile directly); this
+     * is read only by perfbench's isolated layer replay, which sizes
+     * its cache from it.
      */
     std::size_t profileCacheSlots = 1 << 14;
 

@@ -151,7 +151,7 @@ Ssd::Ssd(const Config &cfg, core::Mechanism mech, sim::EventQueue *shared)
       owned_eq_(shared ? nullptr : std::make_unique<sim::EventQueue>()),
       eq_(shared ? *shared : *owned_eq_),
       model_(calibrationFor(cfg), cfg.seed),
-      profile_cache_(model_, cfg.profileCacheSlots), rpt_(buildRpt(model_)),
+      rpt_(buildRpt(model_)),
       rc_(mech, cfg.timing, model_, &rpt_),
       ftl_(cfg.layout(), cfg.logicalPages(), cfg.basePeKilo,
            cfg.baseRetentionMonths, cfg.gcThreshold)
@@ -223,15 +223,6 @@ Ssd::Ssd(const Config &cfg, core::Mechanism mech, sim::EventQueue *shared)
         }
     });
 
-    tsu_->onEraseDone([this](const Txn &txn) {
-        // FTL metadata was updated eagerly at GC-planning time; the
-        // erase transaction models only the tBERS occupancy. Drop the
-        // erased block's cached page profiles — correctness rides on
-        // the cache's operating-point comparison either way, but a
-        // freed block should not pin dead entries.
-        profile_cache_.invalidateBlock(txn.channel,
-                                       ftl_.layout().flatBlock(txn.ppn));
-    });
 }
 
 Txn
@@ -257,8 +248,7 @@ Ssd::buildReadTxn(ftl::Lpn lpn, std::uint64_t host_id, TxnKind kind,
     t.gcTag = gc_tag;
     t.lpn = lpn;
     t.op = ftl_.opPoint(ppn, eq_.now(), cfg_.temperatureC);
-    t.profile = profile_cache_.get(t.channel,
-                                   ftl_.layout().flatBlock(ppn),
+    t.profile = model_.pageProfile(t.channel, ftl_.layout().flatBlock(ppn),
                                    ppn.page, t.op);
     tsu_->enqueue(std::move(t));
 }
@@ -325,7 +315,7 @@ Ssd::scheduleGc(std::vector<ftl::GcWork> work)
             rd.op = ftl_.opPoint(m.from, eq_.now(), cfg_.temperatureC);
             // The victim page keeps its pre-move age: GC reads of
             // cold data pay the full retry cost.
-            rd.profile = profile_cache_.get(
+            rd.profile = model_.pageProfile(
                 rd.channel, ftl_.layout().flatBlock(m.from), m.from.page,
                 rd.op);
             gc_dest_[rd.id] = m.to;
@@ -453,8 +443,6 @@ Ssd::stats() const
     s.timingFallbacks = timing_fallbacks_;
     s.readFailures = read_failures_;
     s.refreshes = refreshes_;
-    s.profileCacheHits = profile_cache_.hits();
-    s.profileCacheMisses = profile_cache_.misses();
     s.executedEvents = eq_.executedEvents();
     s.simulatedMs = sim::toMsec(eq_.now());
     if (eq_.now() > 0) {

@@ -24,7 +24,6 @@
 #include "ftl/ftl.hh"
 #include "nand/chip.hh"
 #include "nand/error_model.hh"
-#include "nand/page_profile_cache.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -129,7 +128,9 @@ struct RunStats {
     double channelUtilization = 0.0;
     /** Mean busy fraction of the per-channel ECC engines. */
     double eccUtilization = 0.0;
-    /** Page-profile cache hits/misses (read-path memoization). */
+    /** Always zero: the read path computes every page profile
+     *  directly. Kept only because perfbench/ssdrr_bench.cc still
+     *  digests them; remove both with that harness field. */
     std::uint64_t profileCacheHits = 0;
     std::uint64_t profileCacheMisses = 0;
     // ----- host filter chain accounting (host/filter/; zero when
@@ -296,12 +297,6 @@ class Ssd
     const sim::Histogram &readResponseTimes() const { return resp_read_; }
     const sim::Histogram &writeResponseTimes() const { return resp_write_; }
 
-    /** Read-path page-profile memoization (hit/miss stats). */
-    const nand::PageProfileCache &profileCache() const
-    {
-        return profile_cache_;
-    }
-
     /** Channel bus @p c (per-channel utilization observability). */
     const Channel &channelAt(std::uint32_t c) const
     {
@@ -333,7 +328,6 @@ class Ssd
     std::unique_ptr<sim::EventQueue> owned_eq_; ///< null when shared
     sim::EventQueue &eq_;
     nand::ErrorModel model_;
-    nand::PageProfileCache profile_cache_;
     core::Rpt rpt_;
     core::RetryController rc_;
     ftl::Ftl ftl_;

@@ -253,40 +253,5 @@ TEST_F(PredictiveTest, PerfectPredictorBeatsPnar2OnAverage)
     EXPECT_LT(sum_pred, sum_base);
 }
 
-TEST_F(PredictiveTest, AttachedProfileCacheChangesNothingButIsUsed)
-{
-    // The predictor and controller can share the SSD's page-profile
-    // cache; plans and predictions must be bit-identical either way.
-    const nand::OperatingPoint op{1.0, 6.0, 30.0};
-    const ErrorPredictor plain_pred(model_, 0.8);
-    const PredictiveController plain_pc(timing_, model_, rpt_,
-                                        plain_pred, {});
-
-    nand::PageProfileCache cache(model_, 1024);
-    ErrorPredictor cached_pred(model_, 0.8);
-    cached_pred.attachProfileCache(&cache);
-    PredictiveController cached_pc(timing_, model_, rpt_, cached_pred,
-                                   {});
-    cached_pc.attachProfileCache(&cache);
-
-    for (std::uint64_t p = 0; p < 150; ++p) {
-        const ErrorPrediction a = plain_pred.predict(0, 0, p, op);
-        const ErrorPrediction b = cached_pred.predict(0, 0, p, op);
-        EXPECT_EQ(a.willRetry, b.willRetry) << p;
-        EXPECT_DOUBLE_EQ(a.predictedErrors, b.predictedErrors) << p;
-
-        const ReadPlan x = planWith(plain_pc, p, op);
-        const ReadPlan y = planWith(cached_pc, p, op);
-        EXPECT_EQ(x.retrySteps, y.retrySteps) << p;
-        EXPECT_EQ(x.extraSteps, y.extraSteps) << p;
-        EXPECT_EQ(x.success, y.success) << p;
-        EXPECT_EQ(x.completion, y.completion) << p;
-        EXPECT_EQ(x.dieEnd, y.dieEnd) << p;
-    }
-    // The controller's lookup hits the entry its predictor created.
-    EXPECT_GT(cache.hits(), 0u);
-    EXPECT_GT(cache.misses(), 0u);
-}
-
 } // namespace
 } // namespace ssdrr::core

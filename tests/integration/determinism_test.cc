@@ -1,11 +1,10 @@
 /**
  * @file
  * Determinism regression: the overhauled kernel (slot-table event
- * queue, SBO callbacks, profile cache, lazy preconditioning,
- * bucketed histograms) must keep whole-simulation results
- * bit-reproducible — two runs of the same seed produce identical
- * RunStats, including every latency percentile, and disabling the
- * profile cache must not change a single field.
+ * queue, SBO callbacks, lazy preconditioning, bucketed histograms)
+ * must keep whole-simulation results bit-reproducible — two runs of
+ * the same seed produce identical RunStats, including every latency
+ * percentile.
  */
 
 #include <gtest/gtest.h>
@@ -46,12 +45,11 @@ expectIdentical(const ssd::RunStats &a, const ssd::RunStats &b)
 }
 
 ssd::RunStats
-replayOnce(std::size_t cache_slots)
+replayOnce()
 {
     ssd::Config cfg = ssd::Config::small();
     cfg.basePeKilo = 1.0;
     cfg.baseRetentionMonths = 6.0;
-    cfg.profileCacheSlots = cache_slots;
     workload::SyntheticSpec spec = workload::findWorkload("usr_1");
     const workload::Trace trace = workload::generateSynthetic(
         spec, cfg.logicalPages(), 600, 77);
@@ -61,18 +59,11 @@ replayOnce(std::size_t cache_slots)
 
 TEST(Determinism, SingleSsdReplayIsBitReproducible)
 {
-    const ssd::RunStats a = replayOnce(ssd::Config().profileCacheSlots);
-    const ssd::RunStats b = replayOnce(ssd::Config().profileCacheSlots);
+    const ssd::RunStats a = replayOnce();
+    const ssd::RunStats b = replayOnce();
     expectIdentical(a, b);
     EXPECT_GT(a.reads, 0u);
     EXPECT_GT(a.p999ReadResponseUs, 0.0);
-}
-
-TEST(Determinism, ProfileCacheDoesNotChangeResults)
-{
-    const ssd::RunStats cached = replayOnce(1 << 14);
-    const ssd::RunStats uncached = replayOnce(0);
-    expectIdentical(cached, uncached);
 }
 
 TEST(Determinism, MultiTenantScenarioIsBitReproducible)

@@ -103,8 +103,6 @@ expectIdenticalArray(const ssd::RunStats &a, const ssd::RunStats &b)
     EXPECT_EQ(a.readFailures, b.readFailures);
     EXPECT_EQ(a.refreshes, b.refreshes);
     EXPECT_EQ(a.executedEvents, b.executedEvents);
-    EXPECT_EQ(a.profileCacheHits, b.profileCacheHits);
-    EXPECT_EQ(a.profileCacheMisses, b.profileCacheMisses);
     EXPECT_EQ(a.avgRetrySteps, b.avgRetrySteps);
     EXPECT_EQ(a.avgResponseUs, b.avgResponseUs);
     EXPECT_EQ(a.avgReadResponseUs, b.avgReadResponseUs);

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
 
 #include "nand/error_model.hh"
+#include "sim/rng.hh"
 
 namespace ssdrr::nand {
 namespace {
@@ -225,6 +229,85 @@ TEST(ErrorModel, SkippedFailingPrefixMatchesFullWalk)
     }
     EXPECT_GT(skipped, 100) << "the skip must be exercised";
     EXPECT_GT(early, 100) << "walks ending before N_RR must be exercised";
+}
+
+/**
+ * pageProfile() as it was written against the public surfaces: each
+ * of meanRetrySteps(), finalErrorsMax() and finalErrorsMean() checks
+ * the operating point and takes the retention logarithm on its own,
+ * and the default retry walk runs from an unmemoized profile.
+ */
+PageErrorProfile
+referenceProfile(const ErrorModel &m, std::uint64_t chip,
+                 std::uint64_t block, std::uint64_t page,
+                 const OperatingPoint &op)
+{
+    const Calibration &cal = m.cal();
+    sim::Rng rng(sim::hashStream(m.seed(), chip, block, page));
+    const double n_var = rng.logNormal(0.0, cal.nSigma);
+    const double e_var = rng.logNormal(0.0, cal.mSigma);
+    const double jitter = rng.normal(0.0, 0.35);
+
+    PageErrorProfile prof;
+    const double n = m.meanRetrySteps(op) * n_var + jitter;
+    prof.retrySteps = std::clamp(static_cast<int>(std::lround(n)), 0,
+                                 cal.retryTableSteps);
+    const double e_max = m.finalErrorsMax(op);
+    prof.finalErrors = std::clamp(m.finalErrorsMean(op) * e_var, 0.5, e_max);
+    prof.decayRatio = std::max(
+        cal.decayRatio, cal.failGuard * cal.designCapability / prof.finalErrors);
+    const ReadOutcome base = m.simulateRead(prof);
+    prof.baseRetrySteps = base.retrySteps;
+    prof.baseSuccess = base.success;
+    prof.baseLastStepErrors = base.lastStepErrors;
+    prof.baseCapability = cal.eccCapability;
+    return prof;
+}
+
+std::uint64_t
+bitsOf(double d)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &d, sizeof b);
+    return b;
+}
+
+TEST(ErrorModel, PageProfileMatchesReferenceFormulaBitForBit)
+{
+    // Fresh, aged and fractional-age operating points (a rewritten
+    // page's retention age is not a whole number of months).
+    const OperatingPoint ops[] = {{0.0, 0.0, 85.0},
+                                  {1.0, 6.0, 30.0},
+                                  {2.5, 11.37, 55.0}};
+    int retried = 0;
+    for (std::uint64_t seed : {0xC0FFEEull, 42ull}) {
+        const ErrorModel m(Calibration{}, seed);
+        for (const OperatingPoint &op : ops) {
+            for (std::uint64_t i = 0; i < 256; ++i) {
+                const std::uint64_t chip = i % 8, block = i * 37 % 1021,
+                                    page = i % 192;
+                const PageErrorProfile got =
+                    m.pageProfile(chip, block, page, op);
+                const PageErrorProfile want =
+                    referenceProfile(m, chip, block, page, op);
+                ASSERT_EQ(got.retrySteps, want.retrySteps) << i;
+                ASSERT_EQ(bitsOf(got.finalErrors), bitsOf(want.finalErrors))
+                    << i;
+                ASSERT_EQ(bitsOf(got.decayRatio), bitsOf(want.decayRatio))
+                    << i;
+                ASSERT_EQ(got.baseRetrySteps, want.baseRetrySteps) << i;
+                ASSERT_EQ(got.baseSuccess, want.baseSuccess) << i;
+                ASSERT_EQ(bitsOf(got.baseLastStepErrors),
+                          bitsOf(want.baseLastStepErrors))
+                    << i;
+                ASSERT_EQ(bitsOf(got.baseCapability),
+                          bitsOf(want.baseCapability))
+                    << i;
+                retried += got.retrySteps > 0;
+            }
+        }
+    }
+    EXPECT_GT(retried, 512) << "aged pages must need retries";
 }
 
 TEST(ErrorModel, InvalidOperatingPointPanics)

@@ -479,8 +479,6 @@ benchRunFrom(const std::string &name, const ssd::RunStats &st,
     run.p50ReadUs = st.p50ReadResponseUs;
     run.p99ReadUs = st.p99ReadResponseUs;
     run.p999ReadUs = st.p999ReadResponseUs;
-    run.profileCacheHits = st.profileCacheHits;
-    run.profileCacheMisses = st.profileCacheMisses;
     run.degradedReads = st.degradedReads;
     run.reconstructionReads = st.reconstructionReads;
     run.parityWrites = st.parityWrites;
